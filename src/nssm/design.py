@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +107,49 @@ class SummaryAugment:
         object.__setattr__(self, "v_matrix", v)
 
 
+def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
+                   z: Optional[np.ndarray],
+                   recipe: DesignRecipe) -> Iterator[np.ndarray]:
+    """The design's columns, one at a time, in the recipe's column order.
+
+    A lag is a length-N vector or an S x N block holding one lag vector
+    per row (S Monte-Carlo draws); W^r Y is then Y @ (W')^r. The
+    intercept and covariate columns are length-N vectors, which broadcast
+    against the blocks. The lags and ``z`` must be finite: they are
+    checked before any product with W.
+    """
+    n = w.n_nodes
+    for l, y in enumerate(y_lags, start=1):
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"lag {l} has entries that are not finite")
+    if recipe.covariate_count > 0:
+        if z is None:
+            raise ValueError("covariate block: recipe requires Z but none supplied")
+        z = np.asarray(z, dtype=float)
+        if z.shape != (n, recipe.covariate_count):
+            raise ValueError(
+                f"covariate block: Z has shape {z.shape}, expected "
+                f"({n}, {recipe.covariate_count})"
+            )
+        if not np.all(np.isfinite(z)):
+            raise ValueError("covariate block: Z has entries that are not finite")
+
+    if recipe.include_intercept:
+        yield np.ones(n)
+    if recipe.include_network_lags:
+        w_t = w.entries.T
+        for r in recipe.network_powers:
+            for y in y_lags:
+                # W^r y as r products with W; no N x N power is formed.
+                for _ in range(r):
+                    y = y @ w_t
+                yield y
+    if recipe.include_own_lags:
+        yield from y_lags
+    if recipe.covariate_count > 0:
+        yield from z.T
+
+
 def build_design(w: WeightMatrix, y_lags: Sequence[np.ndarray],
                  z: Optional[np.ndarray], recipe: DesignRecipe) -> DesignMatrix:
     """Assemble the N x K design from lagged responses and covariates.
@@ -125,30 +168,7 @@ def build_design(w: WeightMatrix, y_lags: Sequence[np.ndarray],
             raise ValueError(f"lag {l} vector has shape {y.shape}, expected ({n},)")
         lags.append(y)
 
-    cols = []
-    if recipe.include_intercept:
-        cols.append(np.ones(n))
-    if recipe.include_network_lags:
-        for r in recipe.network_powers:
-            for y in lags:
-                # W^r y as r matrix-vector products; no N x N power is formed.
-                for _ in range(r):
-                    y = w.entries @ y
-                cols.append(y)
-    if recipe.include_own_lags:
-        cols.extend(lags)
-    if recipe.covariate_count > 0:
-        if z is None:
-            raise ValueError("covariate block: recipe requires Z but none supplied")
-        z = np.asarray(z, dtype=float)
-        if z.shape != (n, recipe.covariate_count):
-            raise ValueError(
-                f"covariate block: Z has shape {z.shape}, expected "
-                f"({n}, {recipe.covariate_count})"
-            )
-        cols.extend(z[:, m] for m in range(recipe.covariate_count))
-
-    x = np.column_stack(cols)
+    x = np.column_stack(list(design_columns(w, lags, z, recipe)))
     return DesignMatrix(entries=x, column_labels=tuple(recipe.column_labels()))
 
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 from scipy.special import logsumexp
 
 from .graph import WeightMatrix, perturb
@@ -158,6 +157,8 @@ def score(kind: str, prediction, actual) -> float:
     matrix, scored as the log of the ensemble-mixture pmf via logsumexp.
     A zero-probability outcome yields -inf (flagged by the caller).
     """
+    from scipy import stats
+
     y = np.asarray(actual, dtype=float)
     if kind == "gaussian_lpd":
         mean, cov = prediction
@@ -175,6 +176,8 @@ def score(kind: str, prediction, actual) -> float:
 
 def _mixture_poisson_cdf(y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Ensemble-mixture Poisson CDF, per node."""
+    from scipy import stats
+
     return stats.poisson.cdf(y[None, :], lam).mean(axis=0)
 
 
@@ -188,6 +191,8 @@ def coverage_and_pit(forecast, actual, level: float = 0.9,
     count-draw quantiles and the PIT is randomized:
     u = F(y - 1) + V (F(y) - F(y - 1)) under the mixture CDF.
     """
+    from scipy import stats
+
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     y = np.asarray(actual, dtype=float)
@@ -283,6 +288,8 @@ def tail_metrics(ensembles: Sequence, actuals: Sequence,
     per-node absolute errors of the ensemble count means, the latter
     dropping the top and bottom ``trim`` fraction.
     """
+    from scipy import stats
+
     if len(ensembles) == 0:
         raise ValueError("no ensembles supplied")
     if not 0.0 <= trim < 0.5:

@@ -9,7 +9,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignRecipe, build_design, spillover_matrix
+from .design import DesignRecipe, build_design, design_columns, spillover_matrix
 from .graph import WeightMatrix
 from .lgss import (
     Belief,
@@ -112,6 +112,84 @@ def _state_q(spec: StateNoiseSpec, filtered_means: List[np.ndarray], k: int):
     if len(filtered_means) < 2:
         return np.diag(spec.q0), np.zeros(k, dtype=int)
     return threshold_Q(filtered_means[-1], filtered_means[-2], spec)
+
+
+def _forecast_networks(last_w, horizon: int, network_policy: str, future_w):
+    """The network of each forecast horizon 1..horizon under a policy."""
+    if network_policy == "carry_forward":
+        return [last_w] * horizon
+    if network_policy in ("oracle", "user_supplied"):
+        if future_w is None or len(future_w) < horizon:
+            raise ValueError(
+                f"network_policy={network_policy!r} requires future_w for "
+                f"all {horizon} horizons"
+            )
+        return list(future_w[:horizon])
+    raise ValueError(f"unknown network policy {network_policy!r}")
+
+
+def _normal_rows(rngs, n_cols: int) -> np.ndarray:
+    """One row of ``n_cols`` standard normals from each draw's generator."""
+    out = np.empty((len(rngs), n_cols))
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    return out
+
+
+# Draws per slab when the linear predictor is accumulated: the temporaries
+# stay 64 x N whatever S, so the returned blocks are nearly all the memory.
+_DRAW_SLAB = 64
+
+
+def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
+                    state_noise: StateNoiseSpec, n_draws: int, rng_seed: int,
+                    networks, covariates, observe,
+                    phi: float = 1.0) -> np.ndarray:
+    """Monte-Carlo forecast paths of all ``n_draws`` draws, advanced together.
+
+    Each draw starts from theta ~ N(m, P) at the final filtered belief.
+    At horizon h it steps theta <- phi theta + (1 - phi) m + Q^1/2 e and
+    accumulates the linear predictor X_h theta, column by column, into
+    the S x N block ``blocks[h - 1]`` of the returned H x S x N array; no
+    S x N x K design is formed. ``observe(h - 1, block, rngs)`` turns the
+    block in place into the horizon's output and returns the S x N
+    observations that become the newest lag. ``networks[h - 1]`` and
+    ``covariates[h - 1]`` are the W and z of horizon h; their length is
+    the horizon count H.
+
+    Draw s has its own generator ``default_rng([rng_seed, s])``. It takes
+    its initial K normals, then per horizon K state normals followed by
+    what ``observe`` takes for its row: the order of a draw simulated on
+    its own. So draw s is the same whatever ``n_draws``.
+    """
+    ctx = run.context
+    panel = ctx["panel"]
+    t_last = ctx["obs_times"][-1]
+    belief = run.beliefs_filtered[-1]
+    m, k = belief.mean, belief.dim
+    q_mat, _ = _state_q(state_noise, [b.mean for b in run.beliefs_filtered[-2:]], k)
+    q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
+    p_chol = np.linalg.cholesky(belief.cov + 1e-12 * np.eye(k))
+
+    rngs = [np.random.default_rng([rng_seed, s]) for s in range(n_draws)]
+    theta = m + _normal_rows(rngs, k) @ p_chol.T
+    # Until the first draw is fed back, a lag is one length-N vector that
+    # broadcasts against the S x N blocks.
+    lags = [panel[t_last - l + 1] for l in range(1, recipe.lag_order + 1)]
+    blocks = np.empty((len(networks), n_draws, panel.shape[1]))
+    for h, (w_h, z_h) in enumerate(zip(networks, covariates)):
+        theta = phi * theta + (1.0 - phi) * m + _normal_rows(rngs, k) @ q_chol.T
+        for start in range(0, n_draws, _DRAW_SLAB):
+            rows = slice(start, start + _DRAW_SLAB)
+            eta, th = blocks[h, rows], theta[rows]
+            slab_lags = [y[rows] if y.ndim == 2 else y for y in lags]
+            for j, col in enumerate(design_columns(w_h, slab_lags, z_h, recipe)):
+                if j == 0:
+                    np.multiply(col, th[:, :1], out=eta)
+                else:
+                    eta += col * th[:, j:j + 1]
+        lags = [observe(h, blocks[h], rngs)] + lags[:-1]
+    return blocks
 
 
 def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:
@@ -247,23 +325,13 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     r_mat = spec.obs_noise.matrix(n)
     i_net, i_own = _beta_indices(spec.recipe)
 
-    last_w = _w_at(w_seq, t_last)
+    networks = _forecast_networks(_w_at(w_seq, t_last), horizon,
+                                  network_policy, future_w)
     y_prev = panel[t_last]
     sigma_prev = np.zeros((n, n))
     forecasts = []
     p_state = p_cov
-    for k in range(1, horizon + 1):
-        if network_policy == "carry_forward":
-            w_k = last_w
-        elif network_policy in ("oracle", "user_supplied"):
-            if future_w is None or len(future_w) < k:
-                raise ValueError(
-                    f"network_policy={network_policy!r} requires future_w for "
-                    f"all {horizon} horizons"
-                )
-            w_k = future_w[k - 1]
-        else:
-            raise ValueError(f"unknown network policy {network_policy!r}")
+    for k, w_k in enumerate(networks, start=1):
         if spec.recipe.covariate_count > 0:
             if future_z is None or len(future_z) < k:
                 raise ValueError("recipe includes covariates; future_z required")
@@ -290,38 +358,26 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
                          network_policy: str = "carry_forward",
                          future_w=None, future_z=None) -> List[dict]:
     """Monte-Carlo reference forecasts: sample coefficient paths and
-    innovations through the recursion; returns per-horizon draw matrices."""
+    innovations through the recursion; returns per-horizon draw matrices.
+
+    All draws advance together; draw s uses its own generator
+    ``default_rng([rng_seed, s])``, so it does not depend on ``n_draws``.
+    """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
     ctx = run.context
-    panel, w_seq = ctx["panel"], ctx["w_seq"]
-    t_last = ctx["obs_times"][-1]
-    n = panel.shape[1]
-    belief = run.beliefs_filtered[-1]
-    q_mat, _ = _state_q(spec.state_noise,
-                        [b.mean for b in run.beliefs_filtered[-2:]], belief.dim)
-    r_mat = spec.obs_noise.matrix(n)
-    r_chol = np.linalg.cholesky(r_mat)
-    p_chol = np.linalg.cholesky(belief.cov + 1e-12 * np.eye(belief.dim))
-    q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(belief.dim))
-    last_w = _w_at(w_seq, t_last)
+    networks = _forecast_networks(_w_at(ctx["w_seq"], ctx["obs_times"][-1]),
+                                  horizon, network_policy, future_w)
+    covariates = [None if future_z is None else np.asarray(future_z[h], dtype=float)
+                  for h in range(horizon)]
+    r_chol = np.linalg.cholesky(spec.obs_noise.matrix(ctx["panel"].shape[1]))
 
-    draws = [np.empty((n_draws, n)) for _ in range(horizon)]
-    for s in range(n_draws):
-        rng = np.random.default_rng([rng_seed, s])
-        theta = belief.mean + p_chol @ rng.standard_normal(belief.dim)
-        y_prev = panel[t_last].copy()
-        for k in range(1, horizon + 1):
-            theta = theta + q_chol @ rng.standard_normal(belief.dim)
-            if network_policy == "carry_forward":
-                w_k = last_w
-            else:
-                w_k = future_w[k - 1]
-            z_k = None if future_z is None else np.asarray(future_z[k - 1], dtype=float)
-            x_k = build_design(w_k, [y_prev], z_k, spec.recipe).entries
-            y_k = x_k @ theta + r_chol @ rng.standard_normal(n)
-            draws[k - 1][s] = y_k
-            y_prev = y_k
+    def observe(h, block, rngs):
+        block += _normal_rows(rngs, block.shape[1]) @ r_chol.T
+        return block
+
+    draws = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
+                            rng_seed, networks, covariates, observe)
     return [{"horizon": k + 1, "draws": draws[k]} for k in range(horizon)]
 
 

@@ -196,21 +196,12 @@ def _power_iterate(mat, tol, max_iter):
     return est, False, False
 
 
-def operator_norm(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on M'M."""
+def operator_norm(m: np.ndarray) -> float:
+    """Largest singular value, exact (from the SVD)."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    gram = m.T @ m
-    est, converged, _ = _power_iterate(gram, tol, max_iter)
-    if not converged:
-        raise NonConvergenceError(
-            f"operator_norm did not converge in {max_iter} iterations",
-            last_estimate=np.sqrt(max(est, 0.0)),
-        )
-    return float(np.sqrt(max(est, 0.0)))
+    return float(np.linalg.norm(m, 2))
 
 
 def spectral_radius(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 _SYM_TOL = 1e-10
 
@@ -229,11 +228,13 @@ def _update_gain(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
     diag = np.diag(chol)
     _check_condition(float((diag.max() / diag.min()) ** 2))
     v = y - h @ b.mean
-    half = solve_triangular(chol, v, lower=True)
+    # numpy solves, not scipy's: scipy loads its own OpenBLAS, and handing
+    # work between the two libraries' thread pools costs milliseconds.
+    half = np.linalg.solve(chol, np.column_stack([v, h @ p]))
     loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
                      + 2.0 * float(np.sum(np.log(diag)))
-                     + float(half @ half))
-    gain = cho_solve((chol, True), h @ p).T
+                     + float(half[:, 0] @ half[:, 0]))
+    gain = np.linalg.solve(chol.T, half[:, 1:]).T
     mean = b.mean + gain @ v
     i_kh = np.eye(b.dim) - gain @ h
     cov = _symmetrize(i_kh @ p @ i_kh.T + gain @ r_mat @ gain.T)

@@ -7,10 +7,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlogy
 
 from .design import DesignRecipe, build_design
-from .gaussmodel import _state_q, _w_at
+from .gaussmodel import _forecast_networks, _simulate_draws, _state_q, _w_at
 from .graph import WeightMatrix
 from .lgss import Belief, FilterRun, ObsBlock, StateNoiseSpec, predict, update
 
@@ -118,7 +118,9 @@ def fit_poisson(panel: np.ndarray, w_seq, spec: PoissonSpec,
 
         eta_hat = np.clip(x_t @ belief.mean, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
         lam_hat = np.clip(np.exp(eta_hat), LAMBDA_FLOOR, None)
-        per_step.append(float(np.sum(stats.poisson.logpmf(panel[t], lam_hat))))
+        # Poisson log-pmf: y log(lam) - log(y!) - lam.
+        per_step.append(float(np.sum(
+            xlogy(panel[t], lam_hat) - gammaln(panel[t] + 1.0) - lam_hat)))
 
         pseudo_y = eta_hat + (panel[t] - lam_hat) / lam_hat
         belief, _ = update(belief, ObsBlock(h=x_t, r=1.0 / lam_hat, y=pseudo_y))
@@ -144,48 +146,38 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     Each draw samples a coefficient path forward (damped toward the
     filtered mean when the stabilizer is enabled), caps the linear
     predictor and intensity, samples counts, and feeds the counts into
-    the next step's design. Deterministic given (run, spec, seed); draws
-    use per-draw derived seeds so scheduling cannot change results.
+    the next step's design. The draws are batched: all S advance
+    together, and W y is one matrix product over the draws per horizon
+    (in slabs of 64 draws). Deterministic
+    given (run, spec, seed): draw s has its own generator
+    ``default_rng([rng_seed, s])``, so it is the same whatever
+    ``n_draws``. ``future_w``, if given, holds the network of each
+    horizon; otherwise the last fitted network is carried forward.
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
     ctx = run.context
-    panel, w_seq = ctx["panel"], ctx["w_seq"]
-    t_last = ctx["obs_times"][-1]
-    n = panel.shape[1]
-    p = spec.recipe.lag_order
-    belief = run.beliefs_filtered[-1]
-    k = belief.dim
-    q_mat, _ = _state_q(spec.state_noise,
-                        [b.mean for b in run.beliefs_filtered[-2:]], k)
-    q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
-    p_chol = np.linalg.cholesky(belief.cov + 1e-12 * np.eye(k))
+    last_w = _w_at(ctx["w_seq"], ctx["obs_times"][-1])
+    networks = _forecast_networks(
+        last_w, horizon,
+        "carry_forward" if future_w is None else "user_supplied", future_w)
 
     phi = stab.phi if stab.enabled else 1.0
     eta_cap = stab.eta_max if stab.enabled else BASELINE_ETA_CAP
     lam_cap = stab.lambda_max if stab.enabled else np.inf
+    counts = np.empty((horizon, n_draws, ctx["panel"].shape[1]), dtype=np.int64)
 
-    intensities = [np.empty((n_draws, n)) for _ in range(horizon)]
-    counts = [np.empty((n_draws, n), dtype=np.int64) for _ in range(horizon)]
-    init_lags = [panel[t_last - l + 1] for l in range(1, p + 1)]
-    last_w = _w_at(w_seq, t_last)
+    def observe(h, block, rngs):
+        np.clip(block, -eta_cap, eta_cap, out=block)
+        np.exp(block, out=block)
+        np.minimum(block, lam_cap, out=block)
+        for rng, lam, row in zip(rngs, block, counts[h]):
+            row[:] = rng.poisson(lam)
+        return counts[h]
 
-    for s in range(n_draws):
-        rng = np.random.default_rng([rng_seed, s])
-        theta = belief.mean + p_chol @ rng.standard_normal(k)
-        lag_window = [lag.copy() for lag in init_lags]
-        for h in range(1, horizon + 1):
-            theta = phi * theta + (1.0 - phi) * belief.mean \
-                + q_chol @ rng.standard_normal(k)
-            w_h = last_w if future_w is None else future_w[h - 1]
-            x_h = build_design(w_h, lag_window, None, spec.recipe).entries
-            eta = np.clip(x_h @ theta, -eta_cap, eta_cap)
-            lam = np.minimum(np.exp(eta), lam_cap)
-            y_h = rng.poisson(lam).astype(np.int64)
-            intensities[h - 1][s] = lam
-            counts[h - 1][s] = y_h
-            lag_window = [y_h.astype(float)] + lag_window[:-1]
-
+    intensities = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
+                                  rng_seed, networks, [None] * horizon,
+                                  observe, phi=phi)
     return [
         ForecastEnsemble(horizon=h + 1, intensities=intensities[h],
                          counts=counts[h], stabilizer=stab, seed=rng_seed)

@@ -248,7 +248,7 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
         bound_one = abs(b1) * np.max(np.abs(w_t).sum(axis=0)) + abs(b2)
         if np.sqrt(bound_inf * bound_one) > 1.0:
             b_t = b1 * w_t + b2 * np.eye(n)
-            max_norm = max(max_norm, operator_norm(b_t, tol=1e-8))
+            max_norm = max(max_norm, operator_norm(b_t))
         mean = b0 + b1 * (w_t @ out[t - 1]) + b2 * out[t - 1]
         if z is not None and gamma is not None:
             mean = mean + np.asarray(z[t]) @ np.asarray(gamma)

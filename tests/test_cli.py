@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nssm
 from nssm.cli import main
 from nssm.io import read_matrix_csv, read_panel_csv, sha256_file
 
@@ -140,6 +145,30 @@ class TestPipeline:
         assert (diag_out / "breaks.csv").exists()
 
 
+    def test_simulate_fit_diagnose_sbm_n50(self, tmp_path, capsys):
+        # Seed 205 of this N = 50 SBM panel gave close top singular values
+        # that stalled a power-iteration operator norm (exit 3).
+        sim_cfg = write_json(tmp_path / "sim.json", {
+            "model": "gaussian", "T": 200, "sigma2": 0.25,
+            "graph": {"kind": "sbm", "n_nodes": 50,
+                      "params": {"block_sizes": [25, 25], "p_in": 0.3,
+                                 "p_out": 0.05}},
+            "coeffs": {"init": [0.1, 0.3, 0.3], "rw_sd": [0.0, 0.005, 0.005]},
+        })
+        model_cfg = write_json(tmp_path / "model.json", {
+            "model": "gaussian", "p": 1, "sigma2": 0.25, "q0": 1e-4})
+        sim_out = tmp_path / "sim"
+        data = ["--panel", str(sim_out / "panel.csv"),
+                "--weight", str(sim_out / "weight.csv"), "--seed", "205"]
+        assert run_cli(["simulate", "--config", sim_cfg, "--out", str(sim_out),
+                        "--seed", "205"]) == 0
+        assert run_cli(["fit", "--config", model_cfg,
+                        "--out", str(tmp_path / "fit")] + data) == 0
+        assert run_cli(["diagnose", "--config", model_cfg,
+                        "--out", str(tmp_path / "diag")] + data) == 0
+        assert "max op norm 0.6658" in capsys.readouterr().out
+
+
 class TestDeterminism:
     def test_same_config_seed_byte_identical(self, tmp_path, sim_config):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -251,3 +280,16 @@ class TestIrfAndPerturb:
                         "--out", str(tmp_path / "o"), "--seed", "9",
                         "--weight", str(sim_out / "weight.csv")])
         assert code == 2
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes about 1 s to import; only the scoring functions
+    # of evalharness need it, and they import it when called.
+    src = str(Path(nssm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = "import sys, nssm.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

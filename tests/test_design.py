@@ -80,7 +80,9 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match="lag 1"):
             build_design(w, [np.zeros(5)], None, DesignRecipe())
 
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_rejected(self):
+        # Rejected before any product with W, so numpy warns of nothing.
         w = simple_w()
         with pytest.raises(ValueError, match="finite"):
             build_design(w, [np.array([1.0, np.inf, 0, 0])], None, DesignRecipe())

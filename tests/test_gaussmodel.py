@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from nssm.design import DesignRecipe, build_design
 from nssm.gaussmodel import (
     EdgeSubmodel,
@@ -191,6 +193,89 @@ class TestForecastGaussian:
         b = mc_forecast_gaussian(run, spec, 2, 50, rng_seed=9)
         for da, db in zip(a, b):
             assert np.array_equal(da["draws"], db["draws"])
+
+
+class TestMcForecastGaussian:
+    """mc_forecast_gaussian advances all draws together; the per-draw loop
+    in ``oracles`` is the reference, up to the order of floating-point
+    sums."""
+
+    @staticmethod
+    def assert_close(got, want):
+        for g, d in zip(got, want):
+            assert np.max(np.abs(g["draws"] - d)) <= 1e-12 * np.max(np.abs(d))
+
+    @pytest.mark.parametrize("recipe,noise", [
+        (DesignRecipe(), ObsNoise("scalar", 0.25)),
+        (DesignRecipe(lag_order=2, network_powers=(1, 2)),
+         ObsNoise("diagonal", np.linspace(0.1, 0.4, 6))),
+        (DesignRecipe(include_intercept=False), ObsNoise("scalar", 0.25)),
+        (DesignRecipe(), "full"),
+    ], ids=["default", "lag2_powers12", "no_intercept", "full_r"])
+    def test_matches_per_draw_oracle(self, recipe, noise):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=30)
+        if noise == "full":
+            a = np.random.default_rng(5).standard_normal((6, 6))
+            noise = ObsNoise("full", 0.2 * np.eye(6) + 0.05 * a @ a.T)
+        spec = GaussianSpec(recipe=recipe, obs_noise=noise,
+                            state_noise=StateNoiseSpec.constant(
+                                1e-3 * np.eye(recipe.n_cols)))
+        run = fit_gaussian(panel, w, None, spec)
+        got = mc_forecast_gaussian(run, spec, 4, 70, rng_seed=6)
+        want = oracles.mc_forecast_gaussian_per_draw(run, spec, 4, 70, 6)
+        self.assert_close(got, want)
+
+    def test_future_w_and_covariates(self):
+        w = make_w()
+        rng = np.random.default_rng(8)
+        recipe = DesignRecipe(covariate_count=2)
+        spec = GaussianSpec(recipe=recipe, obs_noise=ObsNoise("scalar", 0.25),
+                            state_noise=StateNoiseSpec.constant(
+                                1e-3 * np.eye(recipe.n_cols)))
+        panel, _ = simulate_panel(w, t_len=30)
+        z = rng.standard_normal((30, 6, 2))
+        run = fit_gaussian(panel, w, z, spec)
+        future_w = [make_w(seed=20 + h) for h in range(3)]
+        future_z = rng.standard_normal((3, 6, 2))
+        got = mc_forecast_gaussian(run, spec, 3, 15, rng_seed=1,
+                                   network_policy="oracle", future_w=future_w,
+                                   future_z=future_z)
+        want = oracles.mc_forecast_gaussian_per_draw(
+            run, spec, 3, 15, 1, future_w=future_w, future_z=future_z)
+        self.assert_close(got, want)
+
+    def test_draw_count_invariance(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=20)
+        spec = default_spec()
+        run = fit_gaussian(panel, w, None, spec)
+        small = mc_forecast_gaussian(run, spec, 3, 10, rng_seed=3)
+        large = mc_forecast_gaussian(run, spec, 3, 25, rng_seed=3)
+        for ds, dl in zip(small, large):
+            assert np.array_equal(ds["draws"], dl["draws"][:10])
+
+    def test_unknown_policy_rejected(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=20)
+        spec = default_spec()
+        run = fit_gaussian(panel, w, None, spec)
+        with pytest.raises(ValueError, match="unknown network policy"):
+            mc_forecast_gaussian(run, spec, 2, 5, rng_seed=0,
+                                 network_policy="carry_forwards", future_w=[w, w])
+
+    @pytest.mark.parametrize("policy", ["oracle", "user_supplied"])
+    def test_policy_requires_future_w_for_every_horizon(self, policy):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=20)
+        spec = default_spec()
+        run = fit_gaussian(panel, w, None, spec)
+        with pytest.raises(ValueError, match="future_w"):
+            mc_forecast_gaussian(run, spec, 2, 5, rng_seed=0,
+                                 network_policy=policy)
+        with pytest.raises(ValueError, match="future_w"):
+            mc_forecast_gaussian(run, spec, 3, 5, rng_seed=0,
+                                 network_policy=policy, future_w=[w, w])
 
 
 class TestPlugInForecast:

@@ -74,6 +74,16 @@ class TestNorms:
             assert operator_norm(m) == pytest.approx(
                 np.linalg.norm(m, 2), abs=1e-7)
 
+    def test_operator_norm_close_top_singular_values(self):
+        # Singular values 1 and 1 - 1e-5: power iteration on M'M settles
+        # near 0.99999 within its tolerance; the norm must be exact.
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        sv = [1.0, 1.0 - 1e-5, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
+        m = u @ np.diag(sv) @ v.T
+        assert operator_norm(m) == pytest.approx(1.0, abs=1e-12)
+
     def test_spectral_radius_matches_eig(self):
         rng = np.random.default_rng(1)
         for _ in range(20):

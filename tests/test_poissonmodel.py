@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
+
 from nssm.design import DesignRecipe, build_design
 from nssm.graph import Adjacency, row_normalize
 from nssm.lgss import StateNoiseSpec
@@ -145,6 +147,57 @@ class TestMcForecast:
         run = fit_poisson(panel, w, spec)
         with pytest.raises(ValueError, match=">= 1"):
             mc_forecast(run, spec, 0, 10, StabilizerConfig(), rng_seed=0)
+
+
+class TestBatchedAgainstPerDraw:
+    """mc_forecast advances all draws together, in slabs of 64; the
+    per-draw loop in ``oracles`` is the reference. Counts must match
+    exactly; intensities differ only in the order of floating-point sums."""
+
+    @pytest.mark.parametrize("recipe", [
+        DesignRecipe(),
+        DesignRecipe(lag_order=2, network_powers=(1, 2)),
+        DesignRecipe(include_intercept=False),
+    ], ids=["default", "lag2_powers12", "no_intercept"])
+    @pytest.mark.parametrize("stab", [StabilizerConfig(),
+                                      StabilizerConfig.disabled()],
+                             ids=["stabilized", "disabled"])
+    def test_matches_per_draw_oracle(self, recipe, stab):
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = PoissonSpec(recipe=recipe, state_noise=StateNoiseSpec.constant(
+            1e-3 * np.eye(recipe.n_cols)))
+        run = fit_poisson(panel, w, spec)
+        ens = mc_forecast(run, spec, 5, 70, stab, rng_seed=4)
+        lam, cnt = oracles.mc_forecast_per_draw(run, spec, 5, 70, stab, 4)
+        for h, e in enumerate(ens):
+            assert np.array_equal(e.counts, cnt[h])
+            assert np.allclose(e.intensities, lam[h], rtol=1e-12, atol=0.0)
+
+    def test_future_w_sequence(self):
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        future_w = [make_w(seed=10 + h) for h in range(4)]
+        stab = StabilizerConfig()
+        ens = mc_forecast(run, spec, 4, 20, stab, rng_seed=2, future_w=future_w)
+        lam, cnt = oracles.mc_forecast_per_draw(run, spec, 4, 20, stab, 2,
+                                                future_w=future_w)
+        for h, e in enumerate(ens):
+            assert np.array_equal(e.counts, cnt[h])
+            assert np.allclose(e.intensities, lam[h], rtol=1e-12, atol=0.0)
+        carried = mc_forecast(run, spec, 4, 20, stab, rng_seed=2)
+        assert not np.array_equal(carried[0].intensities, ens[0].intensities)
+
+    def test_short_future_w_rejected(self):
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=20)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        with pytest.raises(ValueError, match="future_w"):
+            mc_forecast(run, spec, 3, 5, StabilizerConfig(), rng_seed=0,
+                        future_w=[w, w])
 
 
 class TestEnsembleStats:
