@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -121,10 +120,7 @@ def _stabilizer(cfg: dict) -> StabilizerConfig:
                             lambda_max=float(stab.get("lambda_max", 1e5)))
 
 
-def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_simulate(args, cfg: dict, out: Path):
     gcfg = _require(cfg, "graph", dict)
     t_len = int(_require(cfg, "T"))
     gen = GraphGen(kind=_require(gcfg, "kind", str),
@@ -171,10 +167,7 @@ def _fit_from_args(args, cfg):
     return run, spec, panel, w
 
 
-def _cmd_fit(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_fit(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     means = np.asarray([b.mean for b in run.beliefs_filtered])
     nio.write_matrix_csv(out / "filtered_means.csv", means,
@@ -188,10 +181,7 @@ def _cmd_fit(args):
     return 0
 
 
-def _cmd_forecast(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_forecast(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     horizon = int(cfg.get("horizon", 8))
     if cfg["model"] == "gaussian":
@@ -212,10 +202,7 @@ def _cmd_forecast(args):
     return 0
 
 
-def _cmd_evaluate(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_evaluate(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     horizons = tuple(cfg.get("horizons", [1, 2, 4, 8]))
     origins = cfg.get("origins")
@@ -265,10 +252,7 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _cmd_diagnose(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_diagnose(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     means = np.asarray([b.mean for b in run.beliefs_filtered])
     labels = spec.recipe.column_labels()
@@ -294,10 +278,7 @@ def _cmd_diagnose(args):
     return 0
 
 
-def _cmd_irf(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_irf(args, cfg: dict, out: Path):
     w = nio.read_weight_csv(args.weight)
     h = int(_require(cfg, "horizon"))
     node = int(cfg.get("shock_node", 0))
@@ -313,10 +294,7 @@ def _cmd_irf(args):
     return 0
 
 
-def _cmd_perturb(args):
-    cfg = _load_config(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_perturb(args, cfg: dict, out: Path):
     w = nio.read_weight_csv(args.weight)
     kind = _require(cfg, "kind", str)
     kwargs = {k: cfg[k] for k in ("frac", "alpha", "iters") if k in cfg}
@@ -332,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Network state-space models: simulate, fit, forecast, "
                     "evaluate, diagnose.",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("NSSM_THREADS", "0")),
-                        help="worker thread bound (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_data=False):
@@ -383,10 +358,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        os.environ["OMP_NUM_THREADS"] = str(args.threads)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load_config(args.config)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](args, cfg, out)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -170,6 +170,41 @@ def build_design(w: WeightMatrix, y_lags: Sequence[np.ndarray],
 
     x = np.column_stack(list(design_columns(w, lags, z, recipe)))
     return DesignMatrix(entries=x, column_labels=tuple(recipe.column_labels()))
+
+
+def _w_at(w_seq, t):
+    """W at t from one WeightMatrix, a sequence, or a sequence of one."""
+    if isinstance(w_seq, WeightMatrix):
+        return w_seq
+    return w_seq[t] if len(w_seq) > 1 else w_seq[0]
+
+
+def _z_at(z, t):
+    """Z at t from one N x C array or a sequence of them."""
+    if z is None:
+        return None
+    z = np.asarray(z)
+    return z if z.ndim == 2 else z[t]
+
+
+def design_stack(w_seq, panel: np.ndarray, z,
+                 recipe: DesignRecipe) -> np.ndarray:
+    """The designs of observation times t = p, ..., T - 1, stacked as a
+    (T - p) x N x K array; the design at t is ``build_design`` of the
+    network and covariates at t (``_w_at``, ``_z_at``) and the lags
+    panel[t - 1], ..., panel[t - p]."""
+    p = recipe.lag_order
+    t_len, n = panel.shape
+    z = None if z is None else np.asarray(z, dtype=float)
+    out = np.empty((t_len - p, n, recipe.n_cols))
+    for i, t in enumerate(range(p, t_len)):
+        lags = [panel[t - l] for l in range(1, p + 1)]
+        for j, col in enumerate(design_columns(_w_at(w_seq, t), lags,
+                                               _z_at(z, t), recipe)):
+            out[i, :, j] = col
+    if not np.all(np.isfinite(out)):
+        raise ValueError("design matrix entries must be finite")
+    return out
 
 
 def spillover_matrix(beta1: float, beta2: float, w: WeightMatrix) -> np.ndarray:

@@ -4,7 +4,7 @@ PIT, block-bootstrap inference, stress suites, and tail metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -12,8 +12,8 @@ from scipy.special import logsumexp
 
 from .graph import WeightMatrix, perturb
 from .lgss import FilterRun
+from .poissonmodel import EXPLOSION_THRESHOLD
 
-EXPLOSION_THRESHOLD = 1e6
 DEFAULT_HORIZONS = (1, 2, 4, 8)
 
 

@@ -5,22 +5,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .design import DesignRecipe, build_design, design_columns, spillover_matrix
+from .design import (DesignRecipe, _w_at, _z_at, build_design, design_columns,
+                     design_stack, spillover_matrix)
 from .graph import WeightMatrix
-from .lgss import (
-    Belief,
-    FilterRun,
-    ObsBlock,
-    StateNoiseSpec,
-    predict,
-    threshold_Q,
-    two_block_update,
-    update,
-)
+from .lgss import Belief, FilterRun, StateNoiseSpec, _state_q, run_filter
+# Re-exported for perfbench/tracing.py, which wraps them by module attribute.
+from .lgss import predict, update
 
 
 @dataclass(frozen=True)
@@ -89,31 +83,6 @@ class GaussianForecast:
     network_policy: str = "carry_forward"
 
 
-def _w_at(w_seq, t):
-    if isinstance(w_seq, WeightMatrix):
-        return w_seq
-    return w_seq[t] if len(w_seq) > 1 else w_seq[0]
-
-
-def _z_at(z, t):
-    if z is None:
-        return None
-    z = np.asarray(z)
-    if z.ndim == 2:
-        return z
-    return z[t]
-
-
-def _state_q(spec: StateNoiseSpec, filtered_means: List[np.ndarray], k: int):
-    """State-noise matrix for the upcoming transition, with plug-in
-    threshold indicators from the last two filtered means."""
-    if spec.mode == "constant":
-        return np.asarray(spec.q, dtype=float), None
-    if len(filtered_means) < 2:
-        return np.diag(spec.q0), np.zeros(k, dtype=int)
-    return threshold_Q(filtered_means[-1], filtered_means[-2], spec)
-
-
 def _forecast_networks(last_w, horizon: int, network_policy: str, future_w):
     """The network of each forecast horizon 1..horizon under a policy."""
     if network_policy == "carry_forward":
@@ -126,6 +95,19 @@ def _forecast_networks(last_w, horizon: int, network_policy: str, future_w):
             )
         return list(future_w[:horizon])
     raise ValueError(f"unknown network policy {network_policy!r}")
+
+
+def _forecast_covariates(recipe: DesignRecipe, horizon: int, future_z):
+    """The covariates of each forecast horizon 1..horizon (None when the
+    recipe has no covariate columns)."""
+    if recipe.covariate_count == 0:
+        return [None] * horizon
+    if future_z is None or len(future_z) < horizon:
+        raise ValueError(
+            f"recipe includes covariates; future_z required for all "
+            f"{horizon} horizons"
+        )
+    return [np.asarray(future_z[h], dtype=float) for h in range(horizon)]
 
 
 def _normal_rows(rngs, n_cols: int) -> np.ndarray:
@@ -201,48 +183,23 @@ def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:
     panel = np.asarray(panel, dtype=float)
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains non-finite values")
-    t_len, n = panel.shape
-    p = spec.recipe.lag_order
+    return _fit_panel(panel, w_seq, z, spec, spec.obs_noise.block_r(panel.shape[1]),
+                      transition=spec.state_noise.transition)
+
+
+def _fit_panel(panel, w_seq, z, spec, r, **kwargs) -> FilterRun:
+    """``run_filter`` of a panel on its designs from t = p on, with the
+    context the forecasters read; shared by fit_gaussian and fit_poisson."""
+    t_len, p = panel.shape[0], spec.recipe.lag_order
     if t_len < p + 1:
         raise ValueError(f"panel needs at least p + 1 = {p + 1} rows")
-    k = spec.recipe.n_cols
-    r = spec.obs_noise.block_r(n)
-
-    belief = spec.initial_belief()
-    filtered, predicted = [], []
-    per_step = []
-    s_states = [] if spec.state_noise.mode == "threshold" else None
-    means_hist: List[np.ndarray] = []
-
-    for t in range(p, t_len):
-        w_t = _w_at(w_seq, t)
-        lags = [panel[t - l] for l in range(1, p + 1)]
-        x_t = build_design(w_t, lags, _z_at(z, t), spec.recipe)
-        q_t, s_t = _state_q(spec.state_noise, means_hist, k)
-        if s_states is not None:
-            s_states.append(s_t)
-        belief = predict(belief, q_t, f=spec.state_noise.transition, time_index=t)
-        predicted.append(belief)
-        belief, ll = update(belief, ObsBlock(h=x_t.entries, r=r, y=panel[t]))
-        filtered.append(belief)
-        per_step.append(ll)
-        means_hist.append(belief.mean)
-
-    context = {
-        "panel": panel,
-        "w_seq": w_seq,
-        "z": z,
-        "spec": spec,
-        "obs_times": list(range(p, t_len)),
-    }
-    return FilterRun(
-        beliefs_filtered=filtered,
-        beliefs_predicted=predicted,
-        loglik=float(np.sum(per_step)),
-        per_step_loglik=np.asarray(per_step),
-        threshold_states=None if s_states is None else np.asarray(s_states),
-        context=context,
-    )
+    init = spec.initial_belief()
+    run = run_filter(init.mean, init.cov,
+                     [(design_stack(w_seq, panel, z, spec.recipe), r, panel[p:])],
+                     spec.state_noise, t0=p, **kwargs)
+    run.context = {"panel": panel, "w_seq": w_seq, "z": z, "spec": spec,
+                   "obs_times": list(range(p, t_len))}
+    return run
 
 
 def select_hyperparams(panel, w_seq, z, base_spec: GaussianSpec, grid):
@@ -327,17 +284,12 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
 
     networks = _forecast_networks(_w_at(w_seq, t_last), horizon,
                                   network_policy, future_w)
+    covariates = _forecast_covariates(spec.recipe, horizon, future_z)
     y_prev = panel[t_last]
     sigma_prev = np.zeros((n, n))
     forecasts = []
     p_state = p_cov
-    for k, w_k in enumerate(networks, start=1):
-        if spec.recipe.covariate_count > 0:
-            if future_z is None or len(future_z) < k:
-                raise ValueError("recipe includes covariates; future_z required")
-            z_k = np.asarray(future_z[k - 1], dtype=float)
-        else:
-            z_k = None
+    for k, (w_k, z_k) in enumerate(zip(networks, covariates), start=1):
         x_k = build_design(w_k, [y_prev], z_k, spec.recipe).entries
         mean_k = x_k @ m
         beta1 = m[i_net] if i_net is not None else 0.0
@@ -368,8 +320,7 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     ctx = run.context
     networks = _forecast_networks(_w_at(ctx["w_seq"], ctx["obs_times"][-1]),
                                   horizon, network_policy, future_w)
-    covariates = [None if future_z is None else np.asarray(future_z[h], dtype=float)
-                  for h in range(horizon)]
+    covariates = _forecast_covariates(spec.recipe, horizon, future_z)
     r_chol = np.linalg.cholesky(spec.obs_noise.matrix(ctx["panel"].shape[1]))
 
     def observe(h, block, rngs):
@@ -422,42 +373,25 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
     if edge_obs.shape != (t_len, m_e):
         raise ValueError(f"edge_obs must be T x {m_e}")
 
-    dim = k_n + k_e
-    node_init = spec.initial_belief()
-    mean0 = np.concatenate([node_init.mean, np.zeros(k_e)])
-    cov0 = spec.p0_scale * np.eye(dim)
-    belief = Belief(mean=mean0, cov=cov0, time_index=0)
-
     if edge.state_noise.mode != "constant" or spec.state_noise.mode != "constant":
         raise ValueError("joint node-edge filter supports constant state noise")
+    dim = k_n + k_e
     q_joint = np.zeros((dim, dim))
     q_joint[:k_n, :k_n] = spec.state_noise.q
     q_joint[k_n:, k_n:] = edge.state_noise.q
+    mean0 = np.concatenate([spec.initial_belief().mean, np.zeros(k_e)])
 
+    if design_fn is None:
+        x = design_stack(w_seq, panel, None, spec.recipe)
+    else:
+        x = np.array([design_fn(t, [panel[t - l] for l in range(1, p + 1)],
+                                edge_obs[t]) for t in range(p, t_len)], dtype=float)
+    h_node = np.concatenate([x, np.zeros((t_len - p, n, k_e))], axis=2)
     h_edge = np.hstack([np.zeros((m_e, k_n)), loading])
-    r_node = spec.obs_noise.block_r(n)
-    filtered, predicted, per_step = [], [], []
-    for t in range(p, t_len):
-        belief = predict(belief, q_joint, time_index=t)
-        predicted.append(belief)
-        a_t = edge_obs[t]
-        edge_block = ObsBlock(h=h_edge, r=edge.u, y=a_t, label="edge")
-        lags = [panel[t - l] for l in range(1, p + 1)]
-        if design_fn is not None:
-            x_t = np.asarray(design_fn(t, lags, a_t), dtype=float)
-        else:
-            x_t = build_design(_w_at(w_seq, t), lags, None, spec.recipe).entries
-        h_node = np.hstack([x_t, np.zeros((n, k_e))])
-        node_block = ObsBlock(h=h_node, r=r_node, y=panel[t], label="node")
-        belief, ll_e, ll_n = two_block_update(belief, edge_block, node_block)
-        filtered.append(belief)
-        per_step.append(ll_e + ll_n)
-
-    return FilterRun(
-        beliefs_filtered=filtered,
-        beliefs_predicted=predicted,
-        loglik=float(np.sum(per_step)),
-        per_step_loglik=np.asarray(per_step),
-        context={"panel": panel, "w_seq": w_seq, "z": None, "spec": spec,
-                 "obs_times": list(range(p, t_len))},
-    )
+    run = run_filter(mean0, spec.p0_scale * np.eye(dim),
+                     [(h_edge, edge.u, edge_obs[p:]),
+                      (h_node, spec.obs_noise.block_r(n), panel[p:])],
+                     StateNoiseSpec.constant(q_joint), t0=p)
+    run.context = {"panel": panel, "w_seq": w_seq, "z": None, "spec": spec,
+                   "obs_times": list(range(p, t_len))}
+    return run

@@ -7,11 +7,11 @@ import hashlib
 import json
 import platform
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph import Adjacency, Provenance, WeightMatrix
+from .graph import WeightMatrix
 
 
 def sha256_file(path) -> str:
@@ -58,28 +58,6 @@ def read_panel_csv(path) -> np.ndarray:
         raise ValueError("panel CSV must start with a 'time,node_*' header")
     body = sorted(rows[1:], key=lambda r: int(r[0]))
     return np.asarray([[float(v) for v in row[1:]] for row in body])
-
-
-def write_edgelist_csv(path, adj: Adjacency):
-    """Edge-list format ``time,src,dst,weight`` (time blank when static)."""
-    t = "" if adj.time_index is None else adj.time_index
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "src", "dst", "weight"])
-        for i, j in np.argwhere(adj.entries > 0):
-            writer.writerow([t, int(i), int(j), repr(float(adj.entries[i, j]))])
-
-
-def read_edgelist_csv(path, n_nodes: int) -> Adjacency:
-    mat = np.zeros((n_nodes, n_nodes))
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["time", "src", "dst", "weight"]:
-            raise ValueError("edge list must have header time,src,dst,weight")
-        for row in reader:
-            mat[int(row[1]), int(row[2])] = float(row[3])
-    return Adjacency(mat)
 
 
 def read_weight_csv(path) -> WeightMatrix:

@@ -1,14 +1,22 @@
 """Exact linear-Gaussian state-space engine.
 
-Predict / update (single and two-block) / RTS smoothing with innovations
-log-likelihood, plus threshold-driven state-noise construction.
+One filter kernel, ``run_filter``, serves every panel model: the Gaussian
+network TVP-VAR (one observation block per step), the Poisson DGLM (one
+block through a pseudo-observation rule) and the joint node-edge model
+(an edge block, then a node block). It keeps the state in arrays and
+validates its inputs once, not at every step. Its array steps, the
+prediction ``_time_update`` and the measurement update ``_step``, also
+run under the CP filter's sweep. The public ``predict`` and ``update``
+take one step on validated ``Belief`` and ``ObsBlock`` objects;
+``update`` wraps ``_step``. Also: RTS smoothing, the innovations
+log-likelihood and the threshold-driven state-noise rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +114,22 @@ class StateNoiseSpec:
                    d=np.atleast_1d(d))
 
 
+def _as_r(r) -> np.ndarray:
+    """Observation noise as a variance vector or a matrix, checked
+    positive definite."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 1:
+        if not np.all(np.isfinite(r) & (r > 0)):
+            raise ValueError("observation noise R must be positive definite")
+        return r
+    r = np.atleast_2d(r)
+    try:
+        np.linalg.cholesky(r)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("observation noise R must be positive definite") from exc
+    return r
+
+
 @dataclass(frozen=True)
 class ObsBlock:
     """One linear-Gaussian observation block (H, R, y).
@@ -130,14 +154,7 @@ class ObsBlock:
             raise ValueError(
                 f"inconsistent block shapes: H {h.shape}, R {r.shape}, y {y.shape}"
             )
-        if r.ndim == 1:
-            if not np.all(np.isfinite(r) & (r > 0)):
-                raise ValueError("observation noise R must be positive definite")
-        else:
-            try:
-                np.linalg.cholesky(r)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("observation noise R must be positive definite") from exc
+        _as_r(r)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "y", y)
@@ -162,6 +179,15 @@ class FilterRun:
     @property
     def n_steps(self) -> int:
         return len(self.beliefs_filtered)
+
+
+def _time_update(m: np.ndarray, p: np.ndarray, q: np.ndarray,
+             f: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """``predict`` on arrays, without its check of Q: mean F m and
+    covariance F P F' + Q (F = I when None); ``q`` must be symmetric."""
+    if f is None:
+        return m, _symmetrize(p + q)
+    return f @ m, _symmetrize(f @ p @ f.T + q)
 
 
 def predict(b: Belief, q_t: np.ndarray, f: Optional[np.ndarray] = None,
@@ -190,11 +216,19 @@ def _check_condition(cond: float):
 
 def update(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
     """Measurement update; returns the posterior belief and the innovation
-    log-density of this block under N(0, S), S = H P H' + R.
+    log-density of this block under N(0, S), S = H P H' + R (see ``_step``)."""
+    mean, cov, loglik = _step(b.mean, b.cov, obs.h, obs.r, obs.y)
+    return Belief(mean=mean, cov=cov, time_index=b.time_index), loglik
+
+
+def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
+          y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Measurement update on arrays: posterior mean, covariance and the
+    innovation log-density of y under N(H m, S), S = H P H' + R.
 
     Two algebraically equal forms; the input picks one:
 
-    - collapsed (information) form when R is diagonal (``obs.r`` is a
+    - collapsed (information) form when R is diagonal (``r`` is a
       vector) and the state dimension K is below the block size M. With
       P = L L' and C = I + L' H' R^-1 H L (K x K) the posterior is
       (m + L C^-1 L' H' R^-1 v, L C^-1 L'), log|S| = sum(log r) + log|C|
@@ -208,15 +242,13 @@ def update(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
     Raises SingularInnovationError when the condition estimate of S
     exceeds 1e14 or is not finite.
     """
-    if obs.r.ndim == 1 and b.dim < obs.r.shape[0]:
-        return _update_collapsed(b, obs)
-    return _update_gain(b, obs)
+    if r.ndim == 1 and m.shape[0] < r.shape[0]:
+        return _step_collapsed(m, p, h, r, y)
+    return _step_gain(m, p, h, r, y)
 
 
-def _update_gain(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
-    h, r, y = obs.h, obs.r, obs.y
+def _step_gain(m, p, h, r, y):
     r_mat = np.diag(r) if r.ndim == 1 else r
-    p = b.cov
     s = _symmetrize(h @ p @ h.T + r_mat)
     try:
         chol = np.linalg.cholesky(s)
@@ -227,7 +259,7 @@ def _update_gain(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
         )
     diag = np.diag(chol)
     _check_condition(float((diag.max() / diag.min()) ** 2))
-    v = y - h @ b.mean
+    v = y - h @ m
     # numpy solves, not scipy's: scipy loads its own OpenBLAS, and handing
     # work between the two libraries' thread pools costs milliseconds.
     half = np.linalg.solve(chol, np.column_stack([v, h @ p]))
@@ -235,26 +267,24 @@ def _update_gain(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
                      + 2.0 * float(np.sum(np.log(diag)))
                      + float(half[:, 0] @ half[:, 0]))
     gain = np.linalg.solve(chol.T, half[:, 1:]).T
-    mean = b.mean + gain @ v
-    i_kh = np.eye(b.dim) - gain @ h
+    i_kh = np.eye(m.shape[0]) - gain @ h
     cov = _symmetrize(i_kh @ p @ i_kh.T + gain @ r_mat @ gain.T)
-    return Belief(mean=mean, cov=cov, time_index=b.time_index), loglik
+    return m + gain @ v, cov, loglik
 
 
-def _update_collapsed(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
-    h, r, y = obs.h, obs.r, obs.y
+def _step_collapsed(m, p, h, r, y):
     # Square root of P from a clipped eigendecomposition: P may be singular.
-    lam, vec = np.linalg.eigh(b.cov)
+    lam, vec = np.linalg.eigh(p)
     sqrt_p = vec * np.sqrt(np.clip(lam, 0.0, None))
     hl = h @ sqrt_p
     hl_r = hl / r[:, None]
-    c_mat = np.eye(b.dim) + hl.T @ hl_r
+    c_mat = np.eye(m.shape[0]) + hl.T @ hl_r
     if not np.all(np.isfinite(c_mat)):
         raise SingularInnovationError("innovation covariance not finite",
                                       condition_estimate=math.inf)
     c_lam, c_vec = np.linalg.eigh(c_mat)
     _check_condition(float(r.max() / r.min() * c_lam[-1]))
-    v = y - h @ b.mean
+    v = y - h @ m
     a = hl_r.T @ v
     # C^-1 = U diag(1 / lam) U'; fold C^-1/2 into the loading L U.
     l_c = (sqrt_p @ c_vec) / np.sqrt(c_lam)
@@ -262,9 +292,82 @@ def _update_collapsed(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
     loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
                      + float(np.sum(np.log(r))) + float(np.sum(np.log(c_lam)))
                      + float(v @ (v / r)) - float(a_c @ a_c))
-    mean = b.mean + l_c @ a_c
-    cov = l_c @ l_c.T
-    return Belief(mean=mean, cov=cov, time_index=b.time_index), loglik
+    return m + l_c @ a_c, _symmetrize(l_c @ l_c.T), loglik
+
+
+def _state_q(spec: StateNoiseSpec, filtered_means: Sequence[np.ndarray], k: int):
+    """State-noise matrix for the upcoming transition, with plug-in
+    threshold indicators from the last two filtered means."""
+    if spec.mode == "constant":
+        return spec.q, None
+    if len(filtered_means) < 2:
+        return np.diag(spec.q0), np.zeros(k, dtype=int)
+    return threshold_Q(filtered_means[-1], filtered_means[-2], spec)
+
+
+def _beliefs(means, covs, times) -> List[Belief]:
+    """Beliefs over the arrays of a filter or smoother pass, without the
+    PSD check: the pass made each covariance symmetric. The fields are set
+    as the dataclass's __init__ sets them; b.__dict__ would add a dict."""
+    out = [object.__new__(Belief) for _ in times]
+    for b, m, p, t in zip(out, means, covs, times):
+        for name, value in (("mean", m), ("cov", p), ("time_index", t)):
+            object.__setattr__(b, name, value)
+    return out
+
+
+def _filter_run(pred_means, pred_covs, means, covs, per_step, t0: int,
+                threshold_states=None) -> FilterRun:
+    """FilterRun over the arrays of a filter pass, step i at time t0 + i."""
+    times = range(t0, t0 + len(per_step))
+    return FilterRun(_beliefs(means, covs, times),
+                     _beliefs(pred_means, pred_covs, times),
+                     float(np.sum(per_step)), per_step, threshold_states)
+
+
+def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSpec,
+               transition: Optional[np.ndarray] = None,
+               linearize: Optional[Callable] = None, t0: int = 0) -> FilterRun:
+    """Kalman filter over observation blocks; step i has time index t0 + i
+    and the returned run has no context.
+
+    ``blocks`` is a list of ``(H, r, Y)``: H one M x K matrix or a stack of
+    n_steps of them, r the noise as ``_step`` takes it, Y the n_steps x M
+    observations. Each step predicts with transition F (the random walk
+    when None) and Q from ``state_noise`` (the threshold rule reads the
+    last two filtered means), then updates on the blocks in order; its
+    log-likelihood is the sum of the blocks' innovation log-densities.
+    ``linearize(H_t, m_pred, y_t) -> (pseudo_y, r, loglik)``, if given,
+    turns each observation into a pseudo-observation at the current mean
+    (the Poisson log link), and its ``loglik`` replaces the Gaussian one.
+    """
+    blocks = [(np.asarray(h, dtype=float), None if r is None else _as_r(r),
+               np.asarray(y, dtype=float)) for h, r, y in blocks]
+    n_steps, k = len(blocks[0][2]), m0.shape[0]
+    pred_means, means = np.empty((n_steps, k)), np.empty((n_steps, k))
+    pred_covs, covs = np.empty((n_steps, k, k)), np.empty((n_steps, k, k))
+    per_step = np.empty(n_steps)
+    s_states = (np.empty((n_steps, k), dtype=int)
+                if state_noise.mode == "threshold" else None)
+
+    m, p = m0, p0
+    for i in range(n_steps):
+        q, s = _state_q(state_noise, means[max(i - 2, 0):i], k)
+        if s_states is not None:
+            s_states[i] = s
+        m, p = _time_update(m, p, q, transition)
+        pred_means[i], pred_covs[i] = m, p
+        ll = 0.0
+        for h, r, y in blocks:
+            h_i = h[i] if h.ndim == 3 else h
+            if linearize is None:
+                m, p, ll_b = _step(m, p, h_i, r, y[i])
+            else:
+                y_i, r_i, ll_b = linearize(h_i, m, y[i])
+                m, p, _ = _step(m, p, h_i, r_i, y_i)
+            ll += ll_b
+        means[i], covs[i], per_step[i] = m, p, ll
+    return _filter_run(pred_means, pred_covs, means, covs, per_step, t0, s_states)
 
 
 def two_block_update(b: Belief, edge: ObsBlock, node: ObsBlock):
@@ -286,7 +389,8 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
     n = len(filt)
     if n == 0:
         return []
-    smoothed = [filt[-1]]
+    means = np.array([b.mean for b in filt])
+    covs = np.array([b.cov for b in filt])
     for t in range(n - 2, -1, -1):
         f = None if f_seq is None else np.asarray(f_seq[t], dtype=float)
         q_t = _symmetrize(np.asarray(q_seq[t], dtype=float))
@@ -305,11 +409,9 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
                 "predicted covariance singular in smoother", condition_estimate=cond
             )
         gain = np.linalg.solve(cov_pred, cross.T).T
-        nxt = smoothed[0]
-        mean = filt[t].mean + gain @ (nxt.mean - mean_pred)
-        cov = _symmetrize(pf + gain @ (nxt.cov - cov_pred) @ gain.T)
-        smoothed.insert(0, Belief(mean=mean, cov=cov, time_index=filt[t].time_index))
-    return smoothed
+        means[t] = filt[t].mean + gain @ (means[t + 1] - mean_pred)
+        covs[t] = _symmetrize(pf + gain @ (covs[t + 1] - cov_pred) @ gain.T)
+    return _beliefs(means, covs, [b.time_index for b in filt])
 
 
 def threshold_Q(theta_prev: np.ndarray, theta_prev2: np.ndarray,

@@ -3,16 +3,19 @@ multi-step forecasting with forecast-only stabilization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .design import DesignRecipe, build_design
-from .gaussmodel import _forecast_networks, _simulate_draws, _state_q, _w_at
-from .graph import WeightMatrix
-from .lgss import Belief, FilterRun, ObsBlock, StateNoiseSpec, predict, update
+from .design import DesignRecipe, _w_at
+from .gaussmodel import (_fit_panel, _forecast_covariates, _forecast_networks,
+                         _simulate_draws)
+from .lgss import Belief, FilterRun, StateNoiseSpec
+# Re-exported for perfbench/tracing.py, which wraps them by module attribute.
+from .design import build_design
+from .lgss import predict, update
 
 # Baseline (non-stabilized) linear-predictor cap; keeps exp() finite.
 BASELINE_ETA_CAP = 20.0
@@ -94,53 +97,21 @@ def fit_poisson(panel: np.ndarray, w_seq, spec: PoissonSpec,
     Gaussian update. Per-step plug-in Poisson log-likelihood (at the
     one-step predictive intensity) is recorded.
     """
-    panel = _check_counts(panel)
-    t_len, n = panel.shape
-    p = spec.recipe.lag_order
-    if t_len < p + 1:
-        raise ValueError(f"panel needs at least p + 1 = {p + 1} rows")
-    k = spec.recipe.n_cols
 
-    belief = spec.initial_belief()
-    filtered, predicted, per_step = [], [], []
-    s_states = [] if spec.state_noise.mode == "threshold" else None
-    means_hist: List[np.ndarray] = []
-
-    for t in range(p, t_len):
-        w_t = _w_at(w_seq, t)
-        lags = [panel[t - l] for l in range(1, p + 1)]
-        x_t = build_design(w_t, lags, None if z is None else z[t], spec.recipe).entries
-        q_t, s_t = _state_q(spec.state_noise, means_hist, k)
-        if s_states is not None:
-            s_states.append(s_t)
-        belief = predict(belief, q_t, time_index=t)
-        predicted.append(belief)
-
-        eta_hat = np.clip(x_t @ belief.mean, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
+    def linearize(x_t, m_pred, y_t):
+        eta_hat = np.clip(x_t @ m_pred, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
         lam_hat = np.clip(np.exp(eta_hat), LAMBDA_FLOOR, None)
         # Poisson log-pmf: y log(lam) - log(y!) - lam.
-        per_step.append(float(np.sum(
-            xlogy(panel[t], lam_hat) - gammaln(panel[t] + 1.0) - lam_hat)))
+        loglik = float(np.sum(xlogy(y_t, lam_hat) - gammaln(y_t + 1.0) - lam_hat))
+        return eta_hat + (y_t - lam_hat) / lam_hat, 1.0 / lam_hat, loglik
 
-        pseudo_y = eta_hat + (panel[t] - lam_hat) / lam_hat
-        belief, _ = update(belief, ObsBlock(h=x_t, r=1.0 / lam_hat, y=pseudo_y))
-        filtered.append(belief)
-        means_hist.append(belief.mean)
-
-    return FilterRun(
-        beliefs_filtered=filtered,
-        beliefs_predicted=predicted,
-        loglik=float(np.sum(per_step)),
-        per_step_loglik=np.asarray(per_step),
-        threshold_states=None if s_states is None else np.asarray(s_states),
-        context={"panel": panel, "w_seq": w_seq, "z": None, "spec": spec,
-                 "obs_times": list(range(p, t_len))},
-    )
+    return _fit_panel(_check_counts(panel), w_seq, z, spec, None,
+                      linearize=linearize)
 
 
 def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
                 stab: StabilizerConfig, rng_seed: int,
-                future_w=None) -> List[ForecastEnsemble]:
+                future_w=None, future_z=None) -> List[ForecastEnsemble]:
     """Monte-Carlo multi-step predictive simulation.
 
     Each draw samples a coefficient path forward (damped toward the
@@ -153,6 +124,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     ``default_rng([rng_seed, s])``, so it is the same whatever
     ``n_draws``. ``future_w``, if given, holds the network of each
     horizon; otherwise the last fitted network is carried forward.
+    ``future_z`` holds the covariates of each horizon; a recipe with
+    covariate columns requires it.
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
@@ -161,6 +134,7 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     networks = _forecast_networks(
         last_w, horizon,
         "carry_forward" if future_w is None else "user_supplied", future_w)
+    covariates = _forecast_covariates(spec.recipe, horizon, future_z)
 
     phi = stab.phi if stab.enabled else 1.0
     eta_cap = stab.eta_max if stab.enabled else BASELINE_ETA_CAP
@@ -176,7 +150,7 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
         return counts[h]
 
     intensities = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
-                                  rng_seed, networks, [None] * horizon,
+                                  rng_seed, networks, covariates,
                                   observe, phi=phi)
     return [
         ForecastEnsemble(horizon=h + 1, intensities=intensities[h],

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .lgss import Belief, FilterRun, ObsBlock, predict, update
+from .lgss import FilterRun, _as_r, _filter_run, _step, _time_update
+# Re-exported for perfbench/tracing.py, which wraps them by module attribute.
+from .lgss import predict, update
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,8 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if q_scale < 0 or p0_scale < 0:
+        raise ValueError("q_scale and p0_scale must be nonnegative")
     panel = np.asarray(panel, dtype=float)
     t_len, n = panel.shape
     if t_len <= p:
@@ -196,29 +200,32 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
     slices = {1: sl1, 2: sl2, 3: sl3}
 
     rng = np.random.default_rng(init_seed)
-    mean0 = np.zeros(dim)
+    mean = np.zeros(dim)
     # Zero is a fixed point of the conditional updates; small random node
     # loadings and a first-lag-weighted lag profile break the symmetry.
-    mean0[sl1] = 0.1 * rng.standard_normal(rank * n)
-    mean0[sl2] = 0.1 * rng.standard_normal(rank * n)
+    mean[sl1] = 0.1 * rng.standard_normal(rank * n)
+    mean[sl2] = 0.1 * rng.standard_normal(rank * n)
     m3_init = np.zeros((rank, p))
     m3_init[:, 0] = 1.0 / np.sqrt(p)
-    mean0[sl3] = m3_init.ravel()
-    belief = Belief(mean=mean0, cov=p0_scale * np.eye(dim), time_index=0)
+    mean[sl3] = m3_init.ravel()
+    cov = p0_scale * np.eye(dim)
 
     q_joint = q_scale * np.eye(dim)
-    r_obs = r_scale * np.eye(n)
-    filtered, predicted, per_step = [], [], []
-    for t in range(p, t_len):
-        belief = predict(belief, q_joint, time_index=t)
-        predicted.append(belief)
+    r_obs = _as_r(r_scale * np.eye(n))
+    n_steps = t_len - p
+    pred_means, means = np.empty((n_steps, dim)), np.empty((n_steps, dim))
+    pred_covs, covs = np.empty((n_steps, dim, dim)), np.empty((n_steps, dim, dim))
+    per_step = np.empty(n_steps)
+    for i, t in enumerate(range(p, t_len)):
+        mean, cov = _time_update(mean, cov, q_joint)
+        pred_means[i], pred_covs[i] = mean, cov
         lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
 
         step_ll = 0.0
         first = True
         for _ in range(n_sweeps):
             for mode in sweep_schedule:
-                factors = CPFactors.unstack(belief.mean, rank, n, p)
+                factors = CPFactors.unstack(mean, rank, n, p)
                 h_block = conditional_design(factors, mode, lags)
                 if not np.any(h_block):
                     warnings.warn(
@@ -226,27 +233,20 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
                         f"t={t}; update skipped", RuntimeWarning,
                     )
                     continue
-                sl = slices[mode]
                 h_full = np.zeros((n, dim))
-                h_full[:, sl] = h_block
+                h_full[:, slices[mode]] = h_block
                 # H^(k) times the mode-k block reproduces the trilinear mean
                 # exactly, so no conditional offset is needed.
-                obs = ObsBlock(h=h_full, r=r_obs, y=panel[t])
-                belief, ll = update(belief, obs)
+                mean, cov, ll = _step(mean, cov, h_full, r_obs, panel[t])
                 if first:
                     step_ll = ll  # plug-in: first conditional update's density
                     first = False
-        filtered.append(belief)
-        per_step.append(step_ll)
+        means[i], covs[i], per_step[i] = mean, cov, step_ll
 
-    return FilterRun(
-        beliefs_filtered=filtered,
-        beliefs_predicted=predicted,
-        loglik=float(np.sum(per_step)),
-        per_step_loglik=np.asarray(per_step),
-        context={"panel": panel, "rank": rank, "p": p, "r_scale": r_scale,
-                 "q_scale": q_scale, "obs_times": list(range(p, t_len))},
-    )
+    run = _filter_run(pred_means, pred_covs, means, covs, per_step, p)
+    run.context = {"panel": panel, "rank": rank, "p": p, "r_scale": r_scale,
+                   "q_scale": q_scale, "obs_times": list(range(p, t_len))}
+    return run
 
 
 def cp_one_step_mean(run: FilterRun) -> np.ndarray:

@@ -6,9 +6,20 @@ triple sums for CP tensors. Kept separate from the package under test.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 from scipy import stats
+
+from nssm.design import build_design
+from nssm.lgss import (
+    Belief,
+    FilterRun,
+    ObsBlock,
+    predict,
+    two_block_update,
+    update,
+)
 
 
 def joint_gaussian_filter_smoother(m0, p0, q_seq, h_seq, r_seq, y_seq):
@@ -164,7 +175,7 @@ def _mc_networks(run, horizon, future_w):
 
 
 def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
-                         future_w=None):
+                         future_w=None, future_z=None):
     """Poisson Monte-Carlo forecast, one draw at a time.
 
     Draw s uses ``default_rng([rng_seed, s])``: K initial normals, then per
@@ -190,7 +201,8 @@ def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
         for h in range(horizon):
             theta = phi * theta + (1.0 - phi) * belief.mean \
                 + q_chol @ rng.standard_normal(k)
-            x_h = _dense_design(networks[h], lag_window, None, spec.recipe)
+            z_h = None if future_z is None else future_z[h]
+            x_h = _dense_design(networks[h], lag_window, z_h, spec.recipe)
             eta = np.clip(x_h @ theta, -eta_cap, eta_cap)
             lam = np.minimum(np.exp(eta), lam_cap)
             y_h = rng.poisson(lam).astype(np.int64)
@@ -229,3 +241,169 @@ def mc_forecast_gaussian_per_draw(run, spec, horizon, n_draws, rng_seed,
             draws[h][s] = y_h
             lag_window = [y_h] + lag_window[:-1]
     return draws
+
+
+# Per-step references for the filter kernel: the fit loops as they were
+# written before they shared one kernel, one validated predict, design and
+# update per time step.
+
+def _w_at_t(w_seq, t):
+    if hasattr(w_seq, "entries"):
+        return w_seq
+    return w_seq[t] if len(w_seq) > 1 else w_seq[0]
+
+
+def _z_at_t(z, t):
+    if z is None:
+        return None
+    z = np.asarray(z, dtype=float)
+    return z if z.ndim == 2 else z[t]
+
+
+def _threshold_q(spec, filtered, k):
+    """Q and indicators for the next prediction: q0 for the first two
+    steps, then q0 + s (q1 - q0) with s_j = 1 iff the last filtered
+    increment of component j exceeds d_j."""
+    if spec.mode == "constant":
+        return spec.q, None
+    if len(filtered) < 2:
+        return np.diag(spec.q0), np.zeros(k, dtype=int)
+    s = (np.abs(filtered[-1].mean - filtered[-2].mean) > spec.d).astype(int)
+    return np.diag(spec.q0 + s * (spec.q1 - spec.q0)), s
+
+
+def _per_step_run(filtered, predicted, per_step, s_states=None):
+    return FilterRun(beliefs_filtered=filtered, beliefs_predicted=predicted,
+                     loglik=float(np.sum(per_step)),
+                     per_step_loglik=np.asarray(per_step),
+                     threshold_states=None if s_states is None
+                     else np.asarray(s_states))
+
+
+def fit_gaussian_per_step(panel, w_seq, z, spec):
+    """fit_gaussian one time step at a time."""
+    panel = np.asarray(panel, dtype=float)
+    t_len, n = panel.shape
+    p, k = spec.recipe.lag_order, spec.recipe.n_cols
+    r = spec.obs_noise.block_r(n)
+    belief = spec.initial_belief()
+    filtered, predicted, per_step = [], [], []
+    s_states = [] if spec.state_noise.mode == "threshold" else None
+    for t in range(p, t_len):
+        lags = [panel[t - l] for l in range(1, p + 1)]
+        x_t = build_design(_w_at_t(w_seq, t), lags, _z_at_t(z, t), spec.recipe)
+        q_t, s_t = _threshold_q(spec.state_noise, filtered, k)
+        if s_states is not None:
+            s_states.append(s_t)
+        belief = predict(belief, q_t, f=spec.state_noise.transition, time_index=t)
+        predicted.append(belief)
+        belief, ll = update(belief, ObsBlock(h=x_t.entries, r=r, y=panel[t]))
+        filtered.append(belief)
+        per_step.append(ll)
+    return _per_step_run(filtered, predicted, per_step, s_states)
+
+
+def fit_poisson_per_step(panel, w_seq, spec, z=None):
+    """fit_poisson one time step at a time: the log link linearized at
+    each predicted state, log-likelihood at the predictive intensity."""
+    panel = np.asarray(panel, dtype=float)
+    t_len = panel.shape[0]
+    p, k = spec.recipe.lag_order, spec.recipe.n_cols
+    belief = spec.initial_belief()
+    filtered, predicted, per_step = [], [], []
+    s_states = [] if spec.state_noise.mode == "threshold" else None
+    for t in range(p, t_len):
+        lags = [panel[t - l] for l in range(1, p + 1)]
+        x_t = build_design(_w_at_t(w_seq, t), lags, _z_at_t(z, t),
+                           spec.recipe).entries
+        q_t, s_t = _threshold_q(spec.state_noise, filtered, k)
+        if s_states is not None:
+            s_states.append(s_t)
+        belief = predict(belief, q_t, time_index=t)
+        predicted.append(belief)
+        eta = np.clip(x_t @ belief.mean, -20.0, 20.0)
+        lam = np.clip(np.exp(eta), 1e-8, None)
+        per_step.append(float(np.sum(stats.poisson.logpmf(panel[t], lam))))
+        belief, _ = update(belief, ObsBlock(h=x_t, r=1.0 / lam,
+                                            y=eta + (panel[t] - lam) / lam))
+        filtered.append(belief)
+    return _per_step_run(filtered, predicted, per_step, s_states)
+
+
+def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, design_fn=None):
+    """fit_joint_node_edge one time step at a time: predict the stacked
+    state, update on the edge block [0 | L], then the node block [X_t | 0]."""
+    edge = spec.edge_submodel
+    panel = np.asarray(panel, dtype=float)
+    t_len, n = panel.shape
+    p, k_n = spec.recipe.lag_order, spec.recipe.n_cols
+    loading = np.asarray(edge.loading, dtype=float)
+    m_e, k_e = loading.shape
+    dim = k_n + k_e
+    belief = Belief(mean=np.concatenate([spec.initial_belief().mean, np.zeros(k_e)]),
+                    cov=spec.p0_scale * np.eye(dim))
+    q_joint = np.zeros((dim, dim))
+    q_joint[:k_n, :k_n] = spec.state_noise.q
+    q_joint[k_n:, k_n:] = edge.state_noise.q
+    h_edge = np.hstack([np.zeros((m_e, k_n)), loading])
+    r_node = spec.obs_noise.block_r(n)
+    filtered, predicted, per_step = [], [], []
+    for t in range(p, t_len):
+        belief = predict(belief, q_joint, time_index=t)
+        predicted.append(belief)
+        lags = [panel[t - l] for l in range(1, p + 1)]
+        if design_fn is not None:
+            x_t = np.asarray(design_fn(t, lags, edge_obs[t]), dtype=float)
+        else:
+            x_t = build_design(_w_at_t(w_seq, t), lags, None, spec.recipe).entries
+        belief, ll_e, ll_n = two_block_update(
+            belief, ObsBlock(h=h_edge, r=edge.u, y=edge_obs[t], label="edge"),
+            ObsBlock(h=np.hstack([x_t, np.zeros((n, k_e))]), r=r_node,
+                     y=panel[t]))
+        filtered.append(belief)
+        per_step.append(ll_e + ll_n)
+    return _per_step_run(filtered, predicted, per_step)
+
+
+def cp_filter_per_step(panel, rank, p, q_scale=1e-3, r_scale=1.0,
+                       sweep_schedule=(1, 2, 3), n_sweeps=2, p0_scale=1.0,
+                       init_seed=0):
+    """cp_filter_alternating on validated beliefs: per step one predict,
+    then one conditional update per mode of the sweep; the step's
+    log-likelihood is the first update's."""
+    from nssm.tensorcp import CPFactors, LagWindow, conditional_design
+
+    panel = np.asarray(panel, dtype=float)
+    t_len, n = panel.shape
+    dim = rank * (2 * n + p)
+    a = rank * n
+    slices = {1: slice(0, a), 2: slice(a, 2 * a), 3: slice(2 * a, dim)}
+    rng = np.random.default_rng(init_seed)
+    mean0 = np.zeros(dim)
+    mean0[slices[1]] = 0.1 * rng.standard_normal(a)
+    mean0[slices[2]] = 0.1 * rng.standard_normal(a)
+    m3 = np.zeros((rank, p))
+    m3[:, 0] = 1.0 / np.sqrt(p)
+    mean0[slices[3]] = m3.ravel()
+    belief = Belief(mean=mean0, cov=p0_scale * np.eye(dim))
+    filtered, predicted, per_step = [], [], []
+    for t in range(p, t_len):
+        belief = predict(belief, q_scale * np.eye(dim), time_index=t)
+        predicted.append(belief)
+        lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
+        step_ll = None
+        for _ in range(n_sweeps):
+            for mode in sweep_schedule:
+                factors = CPFactors.unstack(belief.mean, rank, n, p)
+                h_block = conditional_design(factors, mode, lags)
+                if not np.any(h_block):
+                    warnings.warn("degenerate conditional design", RuntimeWarning)
+                    continue
+                h_full = np.zeros((n, dim))
+                h_full[:, slices[mode]] = h_block
+                belief, ll = update(belief, ObsBlock(h=h_full, r=r_scale * np.eye(n),
+                                                     y=panel[t]))
+                step_ll = ll if step_ll is None else step_ll
+        filtered.append(belief)
+        per_step.append(0.0 if step_ll is None else step_ll)
+    return _per_step_run(filtered, predicted, per_step)

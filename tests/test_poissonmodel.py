@@ -200,6 +200,40 @@ class TestBatchedAgainstPerDraw:
                         future_w=[w, w])
 
 
+class TestCovariateForecast:
+    """A recipe with covariates: fit_poisson keeps z, and mc_forecast takes
+    the covariates of each horizon through ``future_z``."""
+
+    def fit(self):
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        rng = np.random.default_rng(8)
+        z = 0.1 * rng.standard_normal((30, 6, 1))
+        recipe = DesignRecipe(covariate_count=1)
+        spec = PoissonSpec(recipe=recipe, state_noise=StateNoiseSpec.constant(
+            1e-3 * np.eye(recipe.n_cols)))
+        return fit_poisson(panel, w, spec, z=z), spec, z
+
+    def test_matches_per_draw_oracle(self):
+        run, spec, z = self.fit()
+        assert run.context["z"] is z
+        future_z = 0.1 * np.random.default_rng(9).standard_normal((4, 6, 1))
+        stab = StabilizerConfig()
+        ens = mc_forecast(run, spec, 4, 70, stab, 3, future_z=future_z)
+        lam, cnt = oracles.mc_forecast_per_draw(run, spec, 4, 70, stab, 3,
+                                                future_z=future_z)
+        for h, e in enumerate(ens):
+            assert np.array_equal(e.counts, cnt[h])
+            assert np.allclose(e.intensities, lam[h], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("future_z", [None, np.zeros((2, 6, 1))],
+                             ids=["missing", "short"])
+    def test_missing_or_short_future_z_rejected(self, future_z):
+        run, spec, _ = self.fit()
+        with pytest.raises(ValueError, match="future_z"):
+            mc_forecast(run, spec, 3, 5, StabilizerConfig(), 0, future_z=future_z)
+
+
 class TestEnsembleStats:
     def make_ens(self, counts, intensities=None):
         counts = np.asarray(counts)
