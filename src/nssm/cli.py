@@ -21,8 +21,8 @@ from .diagnostics import (
 )
 from .evalharness import EvalPlan, rolling_eval
 from .gaussmodel import GaussianSpec, ObsNoise, fit_gaussian, forecast_gaussian
-from .graph import NonConvergenceError, perturb
-from .lgss import SingularInnovationError, StateNoiseSpec, filter_run_to_dict
+from .graph import perturb
+from .lgss import StateNoiseSpec, filter_run_to_dict
 from .poissonmodel import (
     PoissonSpec,
     StabilizerConfig,
@@ -367,8 +367,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularInnovationError, NonConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # SingularInnovationError too
         print(json.dumps({"error": "numerical", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -183,11 +183,10 @@ def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:
     panel = np.asarray(panel, dtype=float)
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains non-finite values")
-    return _fit_panel(panel, w_seq, z, spec, spec.obs_noise.block_r(panel.shape[1]),
-                      transition=spec.state_noise.transition)
+    return _fit_panel(panel, w_seq, z, spec, spec.obs_noise.block_r(panel.shape[1]))
 
 
-def _fit_panel(panel, w_seq, z, spec, r, **kwargs) -> FilterRun:
+def _fit_panel(panel, w_seq, z, spec, r, linearize=None) -> FilterRun:
     """``run_filter`` of a panel on its designs from t = p on, with the
     context the forecasters read; shared by fit_gaussian and fit_poisson."""
     t_len, p = panel.shape[0], spec.recipe.lag_order
@@ -196,7 +195,7 @@ def _fit_panel(panel, w_seq, z, spec, r, **kwargs) -> FilterRun:
     init = spec.initial_belief()
     run = run_filter(init.mean, init.cov,
                      [(design_stack(w_seq, panel, z, spec.recipe), r, panel[p:])],
-                     spec.state_noise, t0=p, **kwargs)
+                     spec.state_noise, linearize=linearize, t0=p)
     run.context = {"panel": panel, "w_seq": w_seq, "z": z, "spec": spec,
                    "obs_times": list(range(p, t_len))}
     return run

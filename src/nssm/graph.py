@@ -14,17 +14,6 @@ from typing import Optional
 import numpy as np
 
 
-class NonConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget.
-
-    Carries the last iterate estimate in ``last_estimate``.
-    """
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class Provenance(str, Enum):
     OBSERVED = "observed"
     ROW_NORMALIZED = "row_normalized"
@@ -167,35 +156,6 @@ def row_normalize(adj: Adjacency) -> WeightMatrix:
     return WeightMatrix(w, provenance=Provenance.ROW_NORMALIZED)
 
 
-def _power_iterate(mat, tol, max_iter):
-    """Power iteration with deterministic all-ones start.
-
-    Returns (estimate, converged, collapsed_to_zero).
-    """
-    n = mat.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    est = 0.0
-    stable = 0
-    # A start vector orthogonal to the dominant eigenspace produces a tiny
-    # first Rayleigh quotient; require several consecutive stable estimates
-    # (and a minimum number of iterations) before declaring convergence.
-    for it in range(max_iter):
-        mv = mat @ v
-        norm = np.linalg.norm(mv)
-        if norm < 1e-300:
-            return 0.0, True, True
-        new_est = float(v @ mv)
-        v = mv / norm
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
-            stable += 1
-            if stable >= 3 and it >= 5:
-                return new_est, True, False
-        else:
-            stable = 0
-        est = new_est
-    return est, False, False
-
-
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value, exact (from the SVD)."""
     m = np.asarray(m, dtype=float)
@@ -204,98 +164,37 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def spectral_radius(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Modulus of the dominant eigenvalue via power iteration.
-
-    Falls back to iterating M @ M when plain iteration stalls (handles
-    dominant complex-conjugate or +/- real pairs); raises
-    NonConvergenceError if both fail.
-    """
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus, exact (from the eigenvalues)."""
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    est, converged, collapsed = _power_iterate(m, tol, max_iter)
-    if collapsed:
-        return 0.0
-    if converged:
-        return float(abs(est))
-    est2, converged2, collapsed2 = _power_iterate(m @ m, tol, max_iter)
-    if collapsed2:
-        return 0.0
-    if converged2:
-        return float(np.sqrt(max(est2, 0.0)))
-    est3, converged3 = _pair_iterate(m, tol, max_iter)
-    if converged3:
-        return est3
-    raise NonConvergenceError(
-        f"spectral_radius did not converge in {max_iter} iterations",
-        last_estimate=abs(est),
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
-def _pair_iterate(m, tol, max_iter):
-    """Dominant-modulus estimate robust to complex-conjugate pairs.
-
-    Fits the two-term recurrence M^2 v = a M v + b v on the running
-    Krylov iterates; the dominant root modulus of x^2 - a x - b converges
-    to the spectral radius whenever a two-dimensional dominant invariant
-    subspace exists.
-    """
-    n = m.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    prev = None
-    for _ in range(max_iter):
-        w1 = m @ v
-        w2 = m @ w1
-        basis = np.column_stack([w1, v])
-        coef, *_ = np.linalg.lstsq(basis, w2, rcond=None)
-        a, b = coef
-        roots = np.roots([1.0, -a, -b])
-        est = float(np.max(np.abs(roots)))
-        norm = np.linalg.norm(w2)
-        if norm < 1e-300:
-            return 0.0, True
-        v = w2 / norm
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
-            resid = np.linalg.norm(w2 - basis @ coef)
-            if resid <= 1e-6 * max(1.0, norm):
-                return est, True
-        prev = est
-    return prev if prev is not None else 0.0, False
-
-
-def invariant_vector(w: WeightMatrix, tol: float = 1e-12, max_iter: int = 100_000) -> InvariantVector:
+def invariant_vector(w: WeightMatrix) -> InvariantVector:
     """Invariant probability vector pi with pi' W = pi' for row-stochastic W.
 
-    Uses power iteration on W' from the uniform start, renormalizing to
-    sum 1 at each step.
+    Solves the stacked system [(W - I)'; 1'] pi = e_{N+1} by least
+    squares. It has full column rank exactly when the chain has one
+    closed class, periodic or not; otherwise the invariant vector is not
+    unique and ValueError is raised.
     """
     mat = w.entries
     sums = mat.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise ValueError("invariant_vector requires a row-stochastic matrix (all row sums 1)")
     n = mat.shape[0]
-    pi = np.ones(n) / n
-    wt = mat.T
-    for _ in range(max_iter):
-        new = wt @ pi
-        s = new.sum()
-        if s <= 0:
-            raise NonConvergenceError("invariant vector iteration collapsed", last_estimate=pi)
-        new = new / s
-        if np.max(np.abs(new - pi)) <= tol:
-            pi = new
-            break
-        pi = new
-    residual = float(np.max(np.abs(pi @ mat - pi)))
-    if residual > max(tol, 1e-9):
-        raise NonConvergenceError(
-            "invariant vector iteration did not converge (chain may be periodic; "
-            "consider damping W toward uniform with perturb mix_uniform)",
-            last_estimate=pi,
+    system = np.vstack([mat.T - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    pi, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    if rank < n:
+        raise ValueError(
+            "invariant vector is not unique: the chain has more than one "
+            "closed class"
         )
+    residual = float(np.max(np.abs(pi @ mat - pi)))
     return InvariantVector(pi=pi, residual=residual)
 
 

@@ -234,12 +234,13 @@ def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
       (m + L C^-1 L' H' R^-1 v, L C^-1 L'), log|S| = sum(log r) + log|C|
       and v' S^-1 v = v' R^-1 v - a' C^-1 a with a = L' H' R^-1 v; the
       cost is O(M K^2) (Durbin & Koopman 2012, ch. 6; Jungbacker &
-      Koopman 2015). The condition estimate is
-      (max r / min r) * lambda_max(C), exactly cond(S) for R = r I.
+      Koopman 2015). The condition estimate is lambda_max(C), the
+      condition number of R^-1/2 S R^-1/2 (its other eigenvalues are 1),
+      and exactly cond(S) for R = r I.
     - gain form with Joseph-form covariance otherwise (full R, or K >= M),
       O(M^3) for the Cholesky factor of S.
 
-    Raises SingularInnovationError when the condition estimate of S
+    Raises SingularInnovationError when the form's condition estimate
     exceeds 1e14 or is not finite.
     """
     if r.ndim == 1 and m.shape[0] < r.shape[0]:
@@ -283,7 +284,7 @@ def _step_collapsed(m, p, h, r, y):
         raise SingularInnovationError("innovation covariance not finite",
                                       condition_estimate=math.inf)
     c_lam, c_vec = np.linalg.eigh(c_mat)
-    _check_condition(float(r.max() / r.min() * c_lam[-1]))
+    _check_condition(float(c_lam[-1]))
     v = y - h @ m
     a = hl_r.T @ v
     # C^-1 = U diag(1 / lam) U'; fold C^-1/2 into the loading L U.
@@ -326,16 +327,15 @@ def _filter_run(pred_means, pred_covs, means, covs, per_step, t0: int,
 
 
 def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSpec,
-               transition: Optional[np.ndarray] = None,
                linearize: Optional[Callable] = None, t0: int = 0) -> FilterRun:
     """Kalman filter over observation blocks; step i has time index t0 + i
     and the returned run has no context.
 
     ``blocks`` is a list of ``(H, r, Y)``: H one M x K matrix or a stack of
     n_steps of them, r the noise as ``_step`` takes it, Y the n_steps x M
-    observations. Each step predicts with transition F (the random walk
-    when None) and Q from ``state_noise`` (the threshold rule reads the
-    last two filtered means), then updates on the blocks in order; its
+    observations. Each step predicts with ``state_noise``'s transition F
+    (the random walk when None) and Q (the threshold rule reads the last
+    two filtered means), then updates on the blocks in order; its
     log-likelihood is the sum of the blocks' innovation log-densities.
     ``linearize(H_t, m_pred, y_t) -> (pseudo_y, r, loglik)``, if given,
     turns each observation into a pseudo-observation at the current mean
@@ -355,7 +355,7 @@ def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSp
         q, s = _state_q(state_noise, means[max(i - 2, 0):i], k)
         if s_states is not None:
             s_states[i] = s
-        m, p = _time_update(m, p, q, transition)
+        m, p = _time_update(m, p, q, state_noise.transition)
         pred_means[i], pred_covs[i] = m, p
         ll = 0.0
         for h, r, y in blocks:

@@ -3,11 +3,11 @@ and Poisson panels, and dynamic logistic edge sequences."""
 
 from __future__ import annotations
 
+import random
 import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .design import spillover_matrix
@@ -43,8 +43,8 @@ class GraphGen:
             if self.params.get("scale", 1.0) < 0:
                 raise ValueError("scale must be nonnegative")
         elif self.kind == "scale_free":
-            if self.params.get("m_attach", 1) < 1:
-                raise ValueError("m_attach must be >= 1")
+            if not 1 <= self.params.get("m_attach", 1) < self.n_nodes:
+                raise ValueError("m_attach must be >= 1 and < n_nodes")
         else:
             raise ValueError(f"unknown graph kind {self.kind!r}")
 
@@ -130,6 +130,28 @@ def _latent_distance_adjacency(n, dim, scale, rng, target_density):
     return a
 
 
+def _barabasi_albert_adjacency(n: int, m: int, seed: int) -> np.ndarray:
+    """Preferential-attachment graph (Barabasi & Albert 1999) on n nodes.
+
+    Starts from a star on m + 1 nodes; each new node links to m distinct
+    targets drawn with probability proportional to degree. Draws follow
+    networkx's ``barabasi_albert_graph``, so a seed gives the same graph.
+    """
+    rng = random.Random(seed)
+    a = np.zeros((n, n))
+    a[0, 1:m + 1] = a[1:m + 1, 0] = 1.0
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        for t in targets:
+            a[source, t] = a[t, source] = 1.0
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return a
+
+
 def gen_graph(g: GraphGen, target_density: Optional[float] = 0.15):
     """Sample an adjacency per the family spec and row-normalize it.
 
@@ -150,9 +172,7 @@ def gen_graph(g: GraphGen, target_density: Optional[float] = 0.15):
         a = (rng.random((n, n)) < probs).astype(float)
         np.fill_diagonal(a, 0.0)
     elif g.kind == "scale_free":
-        m = g.params.get("m_attach", 1)
-        graph = nx.barabasi_albert_graph(n, m, seed=int(g.seed))
-        a = nx.to_numpy_array(graph)
+        a = _barabasi_albert_adjacency(n, g.params.get("m_attach", 1), int(g.seed))
     elif g.kind == "latent_distance":
         a = _latent_distance_adjacency(
             n, g.params.get("dim", 2), g.params.get("scale", 1.0), rng,
@@ -242,8 +262,8 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
         w_t = _w_entries(w_or_seq, t)
         b0, b1, b2 = paths[t, 0], paths[t, 1], paths[t, 2]
         # Cheap sufficient check first: sqrt(norm_1 * norm_inf) bounds the
-        # operator norm, so the power iteration runs only near or over the
-        # stability boundary.
+        # operator norm, so the SVD runs only near or over the stability
+        # boundary.
         bound_inf = abs(b1) * np.max(np.abs(w_t).sum(axis=1)) + abs(b2)
         bound_one = abs(b1) * np.max(np.abs(w_t).sum(axis=0)) + abs(b2)
         if np.sqrt(bound_inf * bound_one) > 1.0:

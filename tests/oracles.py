@@ -319,7 +319,7 @@ def fit_poisson_per_step(panel, w_seq, spec, z=None):
         q_t, s_t = _threshold_q(spec.state_noise, filtered, k)
         if s_states is not None:
             s_states.append(s_t)
-        belief = predict(belief, q_t, time_index=t)
+        belief = predict(belief, q_t, f=spec.state_noise.transition, time_index=t)
         predicted.append(belief)
         eta = np.clip(x_t @ belief.mean, -20.0, 20.0)
         lam = np.clip(np.exp(eta), 1e-8, None)

@@ -282,14 +282,26 @@ class TestIrfAndPerturb:
         assert code == 2
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes about 1 s to import; only the scoring functions
-    # of evalharness need it, and they import it when called.
+def loaded_by_cli_import(module):
+    """Whether a fresh interpreter has ``module`` loaded after
+    ``import nssm.cli``."""
     src = str(Path(nssm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    code = "import sys, nssm.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, nssm.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes about 1 s to import; only the scoring functions
+    # of evalharness need it, and they import it when called.
+    assert not loaded_by_cli_import("scipy.stats")
+
+
+def test_import_leaves_networkx_out():
+    # nssm does not depend on networkx; simulate draws its scale-free
+    # graphs itself.
+    assert not loaded_by_cli_import("networkx")

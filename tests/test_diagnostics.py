@@ -68,6 +68,35 @@ class TestStabilityReport:
         assert np.all(rep.spectral_radii <= rep.op_norms + 1e-8)
 
 
+class TestStabilityCondition:
+    """Spectral radii against the network stability condition: B_t =
+    beta1_t W + beta2_t I has eigenvalues beta1_t lambda_i(W) + beta2_t."""
+
+    @staticmethod
+    def condition(b1, b2, w):
+        lam = np.linalg.eigvals(w.entries)
+        return np.max(np.abs(b1 * lam + b2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_w(self, seed):
+        rng = np.random.default_rng(seed)
+        w = make_w(n=50, seed=seed, density=0.1)
+        b1 = rng.uniform(-0.6, 0.6, 200)
+        b2 = rng.uniform(-0.6, 0.6, 200)
+        rep = stability_report(b1, b2, w)
+        expected = [self.condition(b1[t], b2[t], w) for t in range(200)]
+        assert np.max(np.abs(rep.spectral_radii - expected)) < 1e-10
+
+    def test_per_t_w(self):
+        rng = np.random.default_rng(7)
+        ws = [make_w(n=20, seed=s, density=0.2) for s in range(30)]
+        b1 = rng.uniform(-0.6, 0.6, 30)
+        b2 = rng.uniform(-0.6, 0.6, 30)
+        rep = stability_report(b1, b2, ws)
+        expected = [self.condition(b1[t], b2[t], ws[t]) for t in range(30)]
+        assert np.max(np.abs(rep.spectral_radii - expected)) < 1e-10
+
+
 class TestHopCoefficients:
     def test_constant_coefficient_example(self):
         b1 = np.full(5, 0.3)

@@ -129,11 +129,7 @@ def test_poisson(with_z, threshold):
          if with_z else None)
     state_noise = (threshold_noise(recipe.n_cols) if threshold
                    else StateNoiseSpec.constant(1e-3 * np.eye(recipe.n_cols)))
-    # P0 = 0.5 I, not the default 10 I: with 10 I the first update on this
-    # panel raises SingularInnovationError in both fits, because the
-    # collapsed form's condition estimate (max r / min r) * lambda_max(C)
-    # reads 3.4e15 where cond(S) is 2.4e5.
-    spec = PoissonSpec(recipe=recipe, state_noise=state_noise, p0_scale=0.5)
+    spec = PoissonSpec(recipe=recipe, state_noise=state_noise)
     assert_same_run(fit_poisson(panel, w, spec, z=z),
                     oracles.fit_poisson_per_step(panel, w, spec, z=z))
 

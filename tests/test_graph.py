@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nssm.graph import (
     Adjacency,
-    NonConvergenceError,
     Partition,
     WeightMatrix,
     invariant_vector,
@@ -111,6 +110,29 @@ class TestNorms:
         assert operator_norm(m) == pytest.approx(3.0, abs=1e-9)
         assert spectral_radius(m) == pytest.approx(3.0, abs=1e-9)
 
+    def test_spillover_two_cycle(self):
+        # 0.5 W - 0.1 I has eigenvalues 0.4 (on the all-ones vector) and
+        # -0.6; an iteration started from all-ones stops at 0.4.
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert spectral_radius(0.5 * w - 0.1 * np.eye(2)) == pytest.approx(
+            0.6, abs=1e-12)
+
+    def test_dominant_complex_pair(self):
+        # 0.5 on the all-ones direction, a rotation scaled by 0.9 on two
+        # directions orthogonal to it and 0.2 on the rest.
+        n = 6
+        rng = np.random.default_rng(4)
+        basis = np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))])
+        q, _ = np.linalg.qr(basis)
+        angle = 1.0
+        block = np.zeros((n, n))
+        block[0, 0] = 0.5
+        block[1:3, 1:3] = 0.9 * np.array([[np.cos(angle), -np.sin(angle)],
+                                          [np.sin(angle), np.cos(angle)]])
+        block[3:, 3:] = 0.2 * np.eye(n - 3)
+        m = q @ block @ q.T
+        assert spectral_radius(m) == pytest.approx(0.9, abs=1e-12)
+
 
 class TestInvariantVector:
     def test_doubly_stochastic_gives_uniform(self):
@@ -124,6 +146,19 @@ class TestInvariantVector:
         w = row_normalize(adj)
         pi = invariant_vector(w)
         assert np.max(np.abs(pi.pi @ w.entries - pi.pi)) < 1e-8
+
+    def test_periodic_star(self):
+        # Node 0 linked both ways to nodes 1-3: period 2.
+        a = np.zeros((4, 4))
+        a[0, 1:] = a[1:, 0] = 1.0
+        pi = invariant_vector(row_normalize(Adjacency(a)))
+        assert np.allclose(pi.pi, [1 / 2, 1 / 6, 1 / 6, 1 / 6], atol=1e-12)
+
+    def test_two_closed_classes_raise(self):
+        two_cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+        w = WeightMatrix(np.kron(np.eye(2), two_cycle))
+        with pytest.raises(ValueError, match="not unique"):
+            invariant_vector(w)
 
     def test_requires_row_stochastic(self):
         a = np.zeros((3, 3))

@@ -209,6 +209,31 @@ class TestCollapsedUpdate:
         assert run.loglik == pytest.approx(expected, abs=1e-8)
 
 
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_property_extreme_heterogeneous_r(self, seed, k, extra):
+        # Variances from 1e-9 to 1e8, as the Poisson pseudo-observations
+        # give. cond(S) reaches 1e17, past the 1e14 limit, but cond(C) of
+        # the R-scaled system stays below 1e12, so the update must not
+        # raise. Both sides lose about eps * cond(C) to rounding (up to
+        # 1.4e-5 relative over 5,000 seeds), hence the 1e-4 tolerance.
+        n = k + extra
+        m0, p0, q_seq, h_seq, _, y_seq = diagonal_problem(seed, k, n, k, 3,
+                                                          False)
+        rng = np.random.default_rng(seed)
+        r_seq = []
+        for _ in range(3):
+            r = 10.0 ** rng.uniform(-9.0, 8.0, n)
+            r[rng.permutation(n)[:2]] = [1e-9, 1e8]
+            r_seq.append(r)
+        run = run_filter(m0, p0, q_seq, h_seq, r_seq, y_seq)
+        oracle_f, _ = joint_gaussian_filter_smoother(
+            m0, p0, q_seq, h_seq, [np.diag(r) for r in r_seq], y_seq)
+        for b, (mean, cov) in zip(run.beliefs_filtered, oracle_f):
+            assert np.max(np.abs(b.mean - mean)) < 1e-4 * max(1.0, np.max(np.abs(mean)))
+            assert np.max(np.abs(b.cov - cov)) < 1e-4 * max(1.0, np.max(np.abs(cov)))
+
+
 class TestTwoBlock:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stacked_update(self, seed):

@@ -81,6 +81,20 @@ class TestFitPoisson:
         run = fit_poisson(panel, w, default_spec(q=1e-7))
         assert np.max(np.abs(run.beliefs_filtered[-1].mean - theta)) < 0.15
 
+    def test_honours_transition(self):
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=20)
+        f = 0.5 * np.eye(3)
+        m0 = np.array([0.3, 0.1, 0.1])
+        spec = PoissonSpec(
+            recipe=DesignRecipe(), m0=m0,
+            state_noise=StateNoiseSpec(mode="constant", q=1e-4 * np.eye(3),
+                                       transition=f))
+        run = fit_poisson(panel, w, spec)
+        prev = [m0] + [b.mean for b in run.beliefs_filtered[:-1]]
+        for b, m in zip(run.beliefs_predicted, prev):
+            assert np.allclose(b.mean, f @ m, rtol=0, atol=1e-15)
+
     def test_all_zero_counts_handled(self):
         # Intensity floor keeps the pseudo-variances finite.
         w = make_w()

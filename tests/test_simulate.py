@@ -30,6 +30,29 @@ class TestGenGraph:
         _, adj = gen_graph(g)
         assert adj.entries.sum() == 2 * (5 - 1)
 
+    @pytest.mark.parametrize("n, m, seed, edges", [
+        (8, 1, 0, [(0, 1), (0, 4), (1, 2), (2, 3), (2, 5), (2, 6), (4, 7)]),
+        (8, 2, 3, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 3),
+                   (3, 4), (3, 5), (3, 7), (5, 6), (5, 7)]),
+        (10, 3, 7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+                    (0, 8), (0, 9), (1, 4), (1, 7), (1, 9), (3, 4), (3, 5),
+                    (3, 6), (3, 7), (3, 8), (4, 5), (4, 9), (5, 6), (5, 8)]),
+    ])
+    def test_scale_free_pinned(self, n, m, seed, edges):
+        # The graphs networkx 3.6.1's barabasi_albert_graph(n, m, seed) gives.
+        g = GraphGen(kind="scale_free", n_nodes=n, seed=seed,
+                     params={"m_attach": m})
+        _, adj = gen_graph(g)
+        expected = np.zeros((n, n))
+        for i, j in edges:
+            expected[i, j] = expected[j, i] = 1.0
+        assert np.array_equal(adj.entries, expected)
+
+    def test_scale_free_m_below_n(self):
+        with pytest.raises(ValueError, match="m_attach"):
+            GraphGen(kind="scale_free", n_nodes=3, seed=0,
+                     params={"m_attach": 3})
+
     def test_latent_distance_density_half_at_zero_scale(self):
         g = GraphGen(kind="latent_distance", n_nodes=60, seed=2,
                      params={"dim": 2, "scale": 0.0})
