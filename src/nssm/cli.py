@@ -169,8 +169,7 @@ def _fit_from_args(args, cfg):
 
 def _cmd_fit(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
-    means = np.asarray([b.mean for b in run.beliefs_filtered])
-    nio.write_matrix_csv(out / "filtered_means.csv", means,
+    nio.write_matrix_csv(out / "filtered_means.csv", run.means,
                          header=list(spec.recipe.column_labels()))
     if args.dump_states:
         with open(out / "states.json", "w") as fh:
@@ -254,7 +253,7 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
 
 def _cmd_diagnose(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
-    means = np.asarray([b.mean for b in run.beliefs_filtered])
+    means = run.means
     labels = spec.recipe.column_labels()
     i_net = labels.index("WY_lag_1")
     i_own = labels.index("Y_lag_1")

@@ -4,7 +4,7 @@ PIT, block-bootstrap inference, stress suites, and tail metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -15,6 +15,9 @@ from .lgss import FilterRun
 from .poissonmodel import EXPLOSION_THRESHOLD
 
 DEFAULT_HORIZONS = (1, 2, 4, 8)
+# The failures that mask a rolling-evaluation cell; any other exception
+# is a bug and propagates.
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,10 @@ class EvalReport:
 def truncate_run(run: FilterRun, origin: int) -> FilterRun:
     """Causal restriction of a filter pass to data up to ``origin``.
 
-    Filtering is sequential, so the beliefs computed on the full sample
-    coincide with those from refitting on the prefix; this simply drops
-    the post-origin portion and trims the context panel.
+    Filtering is sequential, so the moments computed on the full sample
+    coincide with those from refitting on the prefix; this slices every
+    array to the steps up to ``origin`` (views, not copies) and trims the
+    context panel.
     """
     ctx = run.context
     if ctx is None or "obs_times" not in ctx:
@@ -79,19 +83,15 @@ def truncate_run(run: FilterRun, origin: int) -> FilterRun:
     obs_times = ctx["obs_times"]
     if origin not in obs_times:
         raise ValueError(f"origin {origin} is not an observation time")
-    idx = obs_times.index(origin)
-    new_ctx = dict(ctx)
-    new_ctx["obs_times"] = obs_times[:idx + 1]
-    new_ctx["panel"] = ctx["panel"][:origin + 1]
-    return FilterRun(
-        beliefs_filtered=run.beliefs_filtered[:idx + 1],
-        beliefs_predicted=run.beliefs_predicted[:idx + 1],
-        loglik=float(np.sum(run.per_step_loglik[:idx + 1])),
-        per_step_loglik=run.per_step_loglik[:idx + 1],
+    k = obs_times.index(origin) + 1
+    return replace(
+        run, means=run.means[:k], covs=run.covs[:k],
+        pred_means=run.pred_means[:k], pred_covs=run.pred_covs[:k],
+        per_step_loglik=run.per_step_loglik[:k],
         threshold_states=(None if run.threshold_states is None
-                          else run.threshold_states[:idx + 1]),
-        context=new_ctx,
-    )
+                          else run.threshold_states[:k]),
+        context={**ctx, "obs_times": obs_times[:k],
+                 "panel": ctx["panel"][:origin + 1]})
 
 
 def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
@@ -102,8 +102,12 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
     each origin reuses it via truncation. ``forecast_fn(run, horizon)``
     returns per-horizon predictive means (list of length-N arrays or a
     2-d array). ``score_fn(run, horizon, actual)``, if given, returns a
-    scalar log score recorded alongside. Per-origin failures are
-    recorded in the mask, never raised.
+    scalar log score recorded alongside. A numerical failure
+    (``LinAlgError``, ``ValueError`` or ``FloatingPointError``) of an
+    origin's forecast or a cell's score masks the origin or the cell and
+    is recorded in ``extras["failures"]`` as (origin, horizon or None for
+    the whole origin, exception type name, message); any other exception
+    propagates.
     """
     panel = np.asarray(panel, dtype=float)
     n = panel.shape[1]
@@ -112,6 +116,7 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
     sq_err = np.full((o, hn, n), np.nan)
     ls = np.full((o, hn), np.nan)
     mask = np.zeros((o, hn), dtype=bool)
+    failures = []
 
     run = fit_fn(panel, w)
     h_max = max(plan.horizons)
@@ -120,8 +125,9 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
             sub = truncate_run(run, t)
             means = forecast_fn(sub, h_max)
             means = np.asarray(means, dtype=float)
-        except Exception:
+        except _NUMERICAL_ERRORS as exc:
             mask[i, :] = True
+            failures.append((t, None, type(exc).__name__, str(exc)))
             continue
         for j, h in enumerate(plan.horizons):
             actual = panel[t + h]
@@ -135,11 +141,13 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
             if score_fn is not None:
                 try:
                     ls[i, j] = score_fn(sub, h, actual)
-                except Exception:
+                except _NUMERICAL_ERRORS as exc:
                     mask[i, j] = True
+                    failures.append((t, h, type(exc).__name__, str(exc)))
     return EvalReport(origins=plan.origins, horizons=plan.horizons,
                       abs_err=abs_err, sq_err=sq_err, failure_mask=mask,
-                      log_scores=ls if score_fn is not None else None)
+                      log_scores=ls if score_fn is not None else None,
+                      extras={"failures": failures})
 
 
 def paired_deltas(a: EvalReport, b: EvalReport, metric: str = "mse") -> np.ndarray:

@@ -147,11 +147,10 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     ctx = run.context
     panel = ctx["panel"]
     t_last = ctx["obs_times"][-1]
-    belief = run.beliefs_filtered[-1]
-    m, k = belief.mean, belief.dim
-    q_mat, _ = _state_q(state_noise, [b.mean for b in run.beliefs_filtered[-2:]], k)
+    m, k = run.means[-1], run.means.shape[1]
+    q_mat, _ = _state_q(state_noise, run.means[-2:], k)
     q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
-    p_chol = np.linalg.cholesky(belief.cov + 1e-12 * np.eye(k))
+    p_chol = np.linalg.cholesky(run.covs[-1] + 1e-12 * np.eye(k))
 
     rngs = [np.random.default_rng([rng_seed, s]) for s in range(n_draws)]
     theta = m + _normal_rows(rngs, k) @ p_chol.T
@@ -274,10 +273,8 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     t_last = ctx["obs_times"][-1]
     n = panel.shape[1]
 
-    belief = run.beliefs_filtered[-1]
-    m, p_cov = belief.mean, belief.cov
-    q_mat, _ = _state_q(spec.state_noise,
-                        [b.mean for b in run.beliefs_filtered[-2:]], belief.dim)
+    m = run.means[-1]
+    q_mat, _ = _state_q(spec.state_noise, run.means[-2:], m.shape[0])
     r_mat = spec.obs_noise.matrix(n)
     i_net, i_own = _beta_indices(spec.recipe)
 
@@ -287,7 +284,9 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     y_prev = panel[t_last]
     sigma_prev = np.zeros((n, n))
     forecasts = []
-    p_state = p_cov
+    # The coefficients step as a random walk: at horizon h their variance
+    # is P + h Q, as in the filter's prediction at h = 1.
+    p_state = run.covs[-1] + q_mat
     for k, (w_k, z_k) in enumerate(zip(networks, covariates), start=1):
         x_k = build_design(w_k, [y_prev], z_k, spec.recipe).entries
         mean_k = x_k @ m
@@ -339,11 +338,12 @@ def plug_in_forecast(run: FilterRun, spec: GaussianSpec,
     panel, w_seq = ctx["panel"], ctx["w_seq"]
     t_last = ctx["obs_times"][-1]
     n = panel.shape[1]
-    belief = run.beliefs_filtered[-1]
+    m = run.means[-1]
+    q_mat, _ = _state_q(spec.state_noise, run.means[-2:], m.shape[0])
     z_last = _z_at(ctx["z"], t_last)
     x_hat = build_design(w_hat, [panel[t_last]], z_last, spec.recipe).entries
-    mean = x_hat @ belief.mean
-    cov = x_hat @ belief.cov @ x_hat.T + spec.obs_noise.matrix(n)
+    mean = x_hat @ m
+    cov = x_hat @ (run.covs[-1] + q_mat) @ x_hat.T + spec.obs_noise.matrix(n)
     return GaussianForecast(mean=mean, cov=0.5 * (cov + cov.T), horizon=1,
                             network_policy="user_supplied")
 
@@ -353,8 +353,10 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
                         design_fn: Optional[Callable] = None) -> FilterRun:
     """Joint filter over the stacked node-edge state.
 
-    Per step: predict with blockdiag(Q_node, Q_edge), then update with the
-    edge block [0 | L] followed by the node block [X_t | 0]. By default
+    Per step: predict with blockdiag(F_node, F_edge) and blockdiag(Q_node,
+    Q_edge), then update with the edge block [0 | L] followed by the node
+    block [X_t | 0]. A spec without a transition F contributes the
+    identity; with neither, the state is a random walk. By default
     the node design is built from ``w_seq`` and the lagged panel;
     ``design_fn(t, lags, a_t)`` overrides it when the design depends on
     the realized edges.
@@ -378,6 +380,14 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
     q_joint = np.zeros((dim, dim))
     q_joint[:k_n, :k_n] = spec.state_noise.q
     q_joint[k_n:, k_n:] = edge.state_noise.q
+    f_joint = None
+    if (spec.state_noise.transition is not None
+            or edge.state_noise.transition is not None):
+        f_joint = np.eye(dim)
+        for f, block in ((spec.state_noise.transition, slice(0, k_n)),
+                         (edge.state_noise.transition, slice(k_n, dim))):
+            if f is not None:
+                f_joint[block, block] = f
     mean0 = np.concatenate([spec.initial_belief().mean, np.zeros(k_e)])
 
     if design_fn is None:
@@ -390,7 +400,7 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
     run = run_filter(mean0, spec.p0_scale * np.eye(dim),
                      [(h_edge, edge.u, edge_obs[p:]),
                       (h_node, spec.obs_noise.block_r(n), panel[p:])],
-                     StateNoiseSpec.constant(q_joint), t0=p)
+                     StateNoiseSpec(q=q_joint, transition=f_joint), t0=p)
     run.context = {"panel": panel, "w_seq": w_seq, "z": None, "spec": spec,
                    "obs_times": list(range(p, t_len))}
     return run

@@ -162,23 +162,35 @@ class ObsBlock:
 
 @dataclass
 class FilterRun:
-    """Output of one filtering pass."""
+    """Output of one filtering pass, as arrays: step i, at time t0 + i,
+    has the filtered and predicted moments ``means[i]``, ``covs[i]``,
+    ``pred_means[i]``, ``pred_covs[i]`` and ``per_step_loglik[i]``."""
 
-    beliefs_filtered: List[Belief]
-    beliefs_predicted: List[Belief]
-    loglik: float
+    means: np.ndarray
+    covs: np.ndarray
+    pred_means: np.ndarray
+    pred_covs: np.ndarray
     per_step_loglik: np.ndarray
+    t0: int = 0
     threshold_states: Optional[np.ndarray] = None
     context: Optional[dict] = None  # fit-time data needed downstream (lags, W, R)
 
-    def __post_init__(self):
-        total = float(np.sum(self.per_step_loglik))
-        if np.isfinite(total) and abs(total - self.loglik) > 1e-9 * max(1.0, abs(total)):
-            raise ValueError("loglik must equal the sum of per-step log-likelihoods")
+    @property
+    def loglik(self) -> float:
+        return float(np.sum(self.per_step_loglik))
 
     @property
     def n_steps(self) -> int:
-        return len(self.beliefs_filtered)
+        return len(self.per_step_loglik)
+
+    @property
+    def beliefs_filtered(self) -> List[Belief]:
+        """Built on each access; each mean and cov is a row view."""
+        return _beliefs(self.means, self.covs, self.t0)
+
+    @property
+    def beliefs_predicted(self) -> List[Belief]:
+        return _beliefs(self.pred_means, self.pred_covs, self.t0)
 
 
 def _time_update(m: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -306,24 +318,15 @@ def _state_q(spec: StateNoiseSpec, filtered_means: Sequence[np.ndarray], k: int)
     return threshold_Q(filtered_means[-1], filtered_means[-2], spec)
 
 
-def _beliefs(means, covs, times) -> List[Belief]:
-    """Beliefs over the arrays of a filter or smoother pass, without the
-    PSD check: the pass made each covariance symmetric. The fields are set
-    as the dataclass's __init__ sets them; b.__dict__ would add a dict."""
-    out = [object.__new__(Belief) for _ in times]
-    for b, m, p, t in zip(out, means, covs, times):
+def _beliefs(means, covs, t0: int) -> List[Belief]:
+    """Beliefs over the rows of a pass's arrays, without the PSD check: the
+    pass made each covariance symmetric. The fields are set as the
+    dataclass's __init__ sets them; b.__dict__ would add a dict."""
+    out = [object.__new__(Belief) for _ in range(len(means))]
+    for t, (b, m, p) in enumerate(zip(out, means, covs), start=t0):
         for name, value in (("mean", m), ("cov", p), ("time_index", t)):
             object.__setattr__(b, name, value)
     return out
-
-
-def _filter_run(pred_means, pred_covs, means, covs, per_step, t0: int,
-                threshold_states=None) -> FilterRun:
-    """FilterRun over the arrays of a filter pass, step i at time t0 + i."""
-    times = range(t0, t0 + len(per_step))
-    return FilterRun(_beliefs(means, covs, times),
-                     _beliefs(pred_means, pred_covs, times),
-                     float(np.sum(per_step)), per_step, threshold_states)
 
 
 def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSpec,
@@ -367,7 +370,7 @@ def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSp
                 m, p, _ = _step(m, p, h_i, r_i, y_i)
             ll += ll_b
         means[i], covs[i], per_step[i] = m, p, ll
-    return _filter_run(pred_means, pred_covs, means, covs, per_step, t0, s_states)
+    return FilterRun(means, covs, pred_means, pred_covs, per_step, t0, s_states)
 
 
 def two_block_update(b: Belief, edge: ObsBlock, node: ObsBlock):
@@ -385,22 +388,17 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
     t + 1 (length at least n_steps - 1). The default transition is the
     random walk (identity).
     """
-    filt = run.beliefs_filtered
-    n = len(filt)
-    if n == 0:
-        return []
-    means = np.array([b.mean for b in filt])
-    covs = np.array([b.cov for b in filt])
-    for t in range(n - 2, -1, -1):
+    means, covs = run.means.copy(), run.covs.copy()
+    for t in range(run.n_steps - 2, -1, -1):
         f = None if f_seq is None else np.asarray(f_seq[t], dtype=float)
         q_t = _symmetrize(np.asarray(q_seq[t], dtype=float))
-        pf = filt[t].cov
+        mf, pf = run.means[t], run.covs[t]
         if f is None:
-            mean_pred = filt[t].mean
+            mean_pred = mf
             cov_pred = pf + q_t
             cross = pf
         else:
-            mean_pred = f @ filt[t].mean
+            mean_pred = f @ mf
             cov_pred = f @ pf @ f.T + q_t
             cross = pf @ f.T
         cond = np.linalg.cond(cov_pred)
@@ -409,9 +407,9 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
                 "predicted covariance singular in smoother", condition_estimate=cond
             )
         gain = np.linalg.solve(cov_pred, cross.T).T
-        means[t] = filt[t].mean + gain @ (means[t + 1] - mean_pred)
+        means[t] = mf + gain @ (means[t + 1] - mean_pred)
         covs[t] = _symmetrize(pf + gain @ (covs[t + 1] - cov_pred) @ gain.T)
-    return _beliefs(means, covs, [b.time_index for b in filt])
+    return _beliefs(means, covs, run.t0)
 
 
 def threshold_Q(theta_prev: np.ndarray, theta_prev2: np.ndarray,
@@ -433,12 +431,11 @@ def filter_run_to_dict(run: FilterRun) -> dict:
     """JSON-serializable snapshot of a FilterRun (for --dump-states)."""
     return {
         "loglik": run.loglik,
-        "per_step_loglik": np.asarray(run.per_step_loglik).tolist(),
-        "filtered_means": [b.mean.tolist() for b in run.beliefs_filtered],
-        "filtered_covs": [b.cov.tolist() for b in run.beliefs_filtered],
-        "predicted_means": [b.mean.tolist() for b in run.beliefs_predicted],
-        "predicted_covs": [b.cov.tolist() for b in run.beliefs_predicted],
-        "threshold_states": (
-            None if run.threshold_states is None else np.asarray(run.threshold_states).tolist()
-        ),
+        "per_step_loglik": run.per_step_loglik.tolist(),
+        "filtered_means": run.means.tolist(),
+        "filtered_covs": run.covs.tolist(),
+        "predicted_means": run.pred_means.tolist(),
+        "predicted_covs": run.pred_covs.tolist(),
+        "threshold_states": (None if run.threshold_states is None
+                             else run.threshold_states.tolist()),
     }

@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .lgss import FilterRun, _as_r, _filter_run, _step, _time_update
+from .lgss import FilterRun, _as_r, _step, _time_update
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -243,10 +243,10 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
                     first = False
         means[i], covs[i], per_step[i] = mean, cov, step_ll
 
-    run = _filter_run(pred_means, pred_covs, means, covs, per_step, p)
-    run.context = {"panel": panel, "rank": rank, "p": p, "r_scale": r_scale,
-                   "q_scale": q_scale, "obs_times": list(range(p, t_len))}
-    return run
+    return FilterRun(means, covs, pred_means, pred_covs, per_step, p,
+                     context={"panel": panel, "rank": rank, "p": p,
+                              "r_scale": r_scale, "q_scale": q_scale,
+                              "obs_times": list(range(p, t_len))})
 
 
 def cp_one_step_mean(run: FilterRun) -> np.ndarray:
@@ -254,7 +254,6 @@ def cp_one_step_mean(run: FilterRun) -> np.ndarray:
     ctx = run.context
     panel, rank, p = ctx["panel"], ctx["rank"], ctx["p"]
     t_last = ctx["obs_times"][-1]
-    factors = CPFactors.unstack(run.beliefs_filtered[-1].mean, rank,
-                                panel.shape[1], p)
+    factors = CPFactors.unstack(run.means[-1], rank, panel.shape[1], p)
     lags = LagWindow(tuple(panel[t_last - l + 1] for l in range(1, p + 1)))
     return cp_mean(factors, lags)

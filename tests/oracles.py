@@ -273,9 +273,12 @@ def _threshold_q(spec, filtered, k):
 
 
 def _per_step_run(filtered, predicted, per_step, s_states=None):
-    return FilterRun(beliefs_filtered=filtered, beliefs_predicted=predicted,
-                     loglik=float(np.sum(per_step)),
+    return FilterRun(means=np.array([b.mean for b in filtered]),
+                     covs=np.array([b.cov for b in filtered]),
+                     pred_means=np.array([b.mean for b in predicted]),
+                     pred_covs=np.array([b.cov for b in predicted]),
                      per_step_loglik=np.asarray(per_step),
+                     t0=filtered[0].time_index,
                      threshold_states=None if s_states is None
                      else np.asarray(s_states))
 
@@ -332,7 +335,9 @@ def fit_poisson_per_step(panel, w_seq, spec, z=None):
 
 def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, design_fn=None):
     """fit_joint_node_edge one time step at a time: predict the stacked
-    state, update on the edge block [0 | L], then the node block [X_t | 0]."""
+    state (with blockdiag(F_node, F_edge), identity for a missing F, when
+    either spec has a transition), update on the edge block [0 | L], then
+    the node block [X_t | 0]."""
     edge = spec.edge_submodel
     panel = np.asarray(panel, dtype=float)
     t_len, n = panel.shape
@@ -345,11 +350,17 @@ def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, design_fn=None):
     q_joint = np.zeros((dim, dim))
     q_joint[:k_n, :k_n] = spec.state_noise.q
     q_joint[k_n:, k_n:] = edge.state_noise.q
+    f_node, f_edge = spec.state_noise.transition, edge.state_noise.transition
+    f_joint = None
+    if f_node is not None or f_edge is not None:
+        f_joint = np.zeros((dim, dim))
+        f_joint[:k_n, :k_n] = np.eye(k_n) if f_node is None else f_node
+        f_joint[k_n:, k_n:] = np.eye(k_e) if f_edge is None else f_edge
     h_edge = np.hstack([np.zeros((m_e, k_n)), loading])
     r_node = spec.obs_noise.block_r(n)
     filtered, predicted, per_step = [], [], []
     for t in range(p, t_len):
-        belief = predict(belief, q_joint, time_index=t)
+        belief = predict(belief, q_joint, f=f_joint, time_index=t)
         predicted.append(belief)
         lags = [panel[t - l] for l in range(1, p + 1)]
         if design_fn is not None:

@@ -103,8 +103,10 @@ def test_criterion_01_kalman_oracle(report):
         belief, _ = update(belief, ObsBlock(h=h_seq[t], r=r_seq[t], y=y_seq[t]))
         filtered.append(belief)
     from nssm.lgss import FilterRun
-    run = FilterRun(beliefs_filtered=filtered, beliefs_predicted=filtered,
-                    loglik=0.0, per_step_loglik=np.zeros(t_len))
+    means = np.array([b.mean for b in filtered])
+    covs = np.array([b.cov for b in filtered])
+    run = FilterRun(means=means, covs=covs, pred_means=means, pred_covs=covs,
+                    per_step_loglik=np.zeros(t_len))
     smoothed = rts_smooth(run, q_seq[1:])
     elapsed = time.time() - t0
 

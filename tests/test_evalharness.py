@@ -20,7 +20,7 @@ from nssm.evalharness import (
 )
 from nssm.gaussmodel import GaussianSpec, fit_gaussian
 from nssm.graph import Adjacency, row_normalize
-from nssm.lgss import Belief, FilterRun, StateNoiseSpec
+from nssm.lgss import FilterRun, StateNoiseSpec
 
 
 def small_w(n=6, seed=0, p_edge=0.5):
@@ -37,11 +37,9 @@ def dummy_run(panel, preds_by_origin=None):
     looked up externally, so beliefs are placeholders."""
     t_len, n = panel.shape
     obs_times = list(range(1, t_len))
-    b = Belief(mean=np.zeros(1), cov=np.eye(1))
+    means, covs = np.zeros((len(obs_times), 1)), np.ones((len(obs_times), 1, 1))
     return FilterRun(
-        beliefs_filtered=[b] * len(obs_times),
-        beliefs_predicted=[b] * len(obs_times),
-        loglik=0.0,
+        means=means, covs=covs, pred_means=means, pred_covs=covs,
         per_step_loglik=np.zeros(len(obs_times)),
         context={"panel": panel, "obs_times": obs_times,
                  "preds": preds_by_origin or {}},
@@ -163,6 +161,16 @@ class TestRollingEval:
             assert report.aggregate("mse")[h] == pytest.approx(manual,
                                                                abs=1e-12)
 
+    def test_other_exceptions_propagate(self):
+        panel = np.ones((12, 2))
+
+        def forecast_fn(sub, h_max):
+            raise RuntimeError("bug")
+
+        with pytest.raises(RuntimeError, match="bug"):
+            rolling_eval(lambda p, w: dummy_run(p), forecast_fn, panel, None,
+                         self._plan((5, 8), horizons=(1, 2)))
+
     def test_failure_mask_records_not_raises(self):
         panel = np.ones((12, 2))
 
@@ -171,7 +179,7 @@ class TestRollingEval:
 
         def forecast_fn(sub, h_max):
             if sub.context["panel"].shape[0] <= 6:
-                raise RuntimeError("boom")
+                raise np.linalg.LinAlgError("boom")
             return [np.full(2, np.nan), np.ones(2)]
 
         plan = self._plan((5, 8), horizons=(1, 2))
@@ -181,6 +189,9 @@ class TestRollingEval:
         assert not report.failure_mask[1, 1]
         assert report.aggregate("mae")[2] == pytest.approx(0.0)
         assert math.isnan(report.aggregate("mae")[1])
+        # The raised failure is recorded; the non-finite prediction raised
+        # nothing.
+        assert report.extras["failures"] == [(5, None, "LinAlgError", "boom")]
 
     def test_truncate_matches_refit(self):
         rng = np.random.default_rng(2)
@@ -197,6 +208,28 @@ class TestRollingEval:
         assert np.allclose(sub.beliefs_filtered[-1].mean,
                            refit.beliefs_filtered[-1].mean, atol=1e-12)
         assert sub.loglik == pytest.approx(refit.loglik, abs=1e-9)
+
+    def test_truncate_slices_without_copying(self):
+        rng = np.random.default_rng(3)
+        w = small_w()
+        panel = rng.standard_normal((25, 6))
+        recipe = DesignRecipe()
+        k = recipe.n_cols
+        spec = GaussianSpec(
+            recipe=recipe,
+            state_noise=StateNoiseSpec.threshold(np.full(k, 1e-4),
+                                                 np.full(k, 1e-2),
+                                                 np.full(k, 0.02)),
+        )
+        full = fit_gaussian(panel, w, None, spec)
+        sub = truncate_run(full, 14)
+        assert sub.n_steps == 14 and sub.context["obs_times"][-1] == 14
+        for name in ("means", "covs", "pred_means", "pred_covs",
+                     "per_step_loglik", "threshold_states"):
+            got, whole = getattr(sub, name), getattr(full, name)
+            assert np.shares_memory(got, whole), name
+            assert np.array_equal(got, whole[:14]), name
+        assert full.n_steps == 24
 
     def test_truncate_requires_observation_time(self):
         panel = np.ones((10, 2))

@@ -134,9 +134,10 @@ def test_poisson(with_z, threshold):
                     oracles.fit_poisson_per_step(panel, w, spec, z=z))
 
 
-@pytest.mark.parametrize("with_design_fn", [False, True],
-                         ids=["w_design", "design_fn"])
-def test_joint_node_edge(with_design_fn):
+@pytest.mark.parametrize("with_design_fn,transition", [
+    (False, None), (True, None), (False, "node"), (False, "edge")],
+    ids=["w_design", "design_fn", "node_transition", "edge_transition"])
+def test_joint_node_edge(with_design_fn, transition):
     rng = np.random.default_rng(4)
     w = make_w()
     recipe = DesignRecipe()
@@ -144,11 +145,16 @@ def test_joint_node_edge(with_design_fn):
     loading = rng.standard_normal((m_e, k_e))
     spec = GaussianSpec(
         recipe=recipe,
-        state_noise=StateNoiseSpec.constant(1e-3 * np.eye(recipe.n_cols)),
+        state_noise=StateNoiseSpec(mode="constant",
+                                   q=1e-3 * np.eye(recipe.n_cols),
+                                   transition=0.5 * np.eye(recipe.n_cols)
+                                   if transition == "node" else None),
         obs_noise=ObsNoise("scalar", 0.5),
         edge_submodel=EdgeSubmodel(
             loading=loading, u=np.diag(rng.random(m_e) + 0.5),
-            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_e))),
+            state_noise=StateNoiseSpec(mode="constant", q=1e-3 * np.eye(k_e),
+                                       transition=0.8 * np.eye(k_e)
+                                       if transition == "edge" else None)),
     )
     panel = rng.standard_normal((T, N))
     edge_obs = rng.standard_normal((T, m_e))

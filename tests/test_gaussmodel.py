@@ -16,6 +16,7 @@ from nssm.gaussmodel import (
     select_hyperparams,
 )
 from nssm.graph import Adjacency, row_normalize
+from nssm import lgss
 from nssm.lgss import Belief, ObsBlock, StateNoiseSpec, predict, update
 from nssm.simulate import CoeffPathSpec, gen_coeff_paths, gen_gaussian_panel
 
@@ -74,6 +75,22 @@ class TestFitGaussian:
             panel[t] = x @ theta + 0.3 * rng.standard_normal(30)
         run = fit_gaussian(panel, w, None, default_spec(q=1e-6, sigma2=0.09))
         assert np.max(np.abs(run.beliefs_filtered[-1].mean - theta)) < 0.05
+
+    def test_psd_checks_do_not_grow_with_t(self, monkeypatch):
+        # PSD is checked at the API boundary, not once per step.
+        w = make_w()
+        calls = []
+        check = lgss._check_psd
+        monkeypatch.setattr(lgss, "_check_psd",
+                            lambda p, what: calls.append(what) or check(p, what))
+        spec = default_spec()
+        counts = []
+        for t_len in (10, 40):
+            panel, _ = simulate_panel(w, t_len=t_len)
+            calls.clear()
+            fit_gaussian(panel, w, None, spec)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1  # the initial belief is checked
 
     def test_rejects_nonfinite(self):
         w = make_w()
@@ -149,8 +166,24 @@ class TestForecastGaussian:
         belief = run.beliefs_filtered[-1]
         x = build_design(w, [panel[-1]], None, spec.recipe).entries
         assert np.allclose(fc.mean, x @ belief.mean, atol=1e-12)
-        assert np.allclose(fc.cov, x @ belief.cov @ x.T + 0.25 * np.eye(6),
+        # theta_{T+1} = theta_T + eta has variance P + Q.
+        p_pred = belief.cov + spec.state_noise.q
+        assert np.allclose(fc.cov, x @ p_pred @ x.T + 0.25 * np.eye(6),
                            atol=1e-12)
+
+    def test_h1_variance_matches_mc(self):
+        # With a large Q the closed form must carry the state noise of the
+        # step to T + 1, as the Monte-Carlo forecaster does.
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=40)
+        spec = default_spec(q=0.05)
+        run = fit_gaussian(panel, w, None, spec)
+        fc = forecast_gaussian(run, spec, 1)[0]
+        draws = mc_forecast_gaussian(run, spec, 1, n_draws=20_000,
+                                     rng_seed=0)[0]["draws"]
+        # The sample variance of 20,000 normal draws has a relative sd of
+        # 1%; leaving Q out understates the variance by 15-20% here.
+        assert np.allclose(np.diag(fc.cov), draws.var(axis=0), rtol=0.05)
 
     def test_multi_step_matches_mc(self):
         # Closed-form mean should track the Monte-Carlo mean at h <= 4.
@@ -287,6 +320,7 @@ class TestPlugInForecast:
         exact = forecast_gaussian(run, spec, 1)[0]
         plug = plug_in_forecast(run, spec, w)
         assert np.allclose(plug.mean, exact.mean, atol=1e-12)
+        assert np.allclose(plug.cov, exact.cov, atol=1e-12)
 
     def test_gap_only_through_network_column(self):
         w = make_w(seed=11)

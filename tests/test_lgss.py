@@ -27,8 +27,10 @@ def run_filter(m0, p0, q_seq, h_seq, r_seq, y_seq):
         belief, ll = update(belief, ObsBlock(h=h_seq[t], r=r_seq[t], y=y_seq[t]))
         filtered.append(belief)
         per_step.append(ll)
-    return FilterRun(beliefs_filtered=filtered, beliefs_predicted=predicted,
-                     loglik=float(np.sum(per_step)),
+    return FilterRun(means=np.array([b.mean for b in filtered]),
+                     covs=np.array([b.cov for b in filtered]),
+                     pred_means=np.array([b.mean for b in predicted]),
+                     pred_covs=np.array([b.cov for b in predicted]),
                      per_step_loglik=np.asarray(per_step))
 
 
@@ -291,8 +293,20 @@ class TestThreshold:
 
 
 class TestFilterRun:
-    def test_loglik_consistency_enforced(self):
-        b = Belief(mean=np.zeros(1), cov=np.eye(1))
-        with pytest.raises(ValueError, match="per-step"):
-            FilterRun(beliefs_filtered=[b], beliefs_predicted=[b],
-                      loglik=5.0, per_step_loglik=np.array([1.0]))
+    def test_beliefs_are_views_of_the_arrays(self):
+        run = run_filter(*random_problem(0))
+        b = run.beliefs_filtered[2]
+        b.mean[1] += 1.0
+        b.cov[0, 0] *= 2.0
+        assert run.means[2, 1] == b.mean[1]
+        assert run.covs[2, 0, 0] == b.cov[0, 0]
+        again = run.beliefs_filtered[2]
+        assert again.mean[1] == b.mean[1] and again.cov[0, 0] == b.cov[0, 0]
+        assert np.shares_memory(run.beliefs_predicted[3].cov, run.pred_covs)
+
+    def test_loglik_and_times_derived_from_arrays(self):
+        run = run_filter(*random_problem(1))
+        run.t0 = 4
+        assert run.loglik == float(np.sum(run.per_step_loglik))
+        assert run.n_steps == len(run.per_step_loglik) == 5
+        assert [b.time_index for b in run.beliefs_filtered] == [4, 5, 6, 7, 8]
