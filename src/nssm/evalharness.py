@@ -107,7 +107,8 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
     origin's forecast or a cell's score masks the origin or the cell and
     is recorded in ``extras["failures"]`` as (origin, horizon or None for
     the whole origin, exception type name, message); any other exception
-    propagates.
+    propagates. An origin that is not an observation time of the run is a
+    plan mistake, not a numerical failure: its ``ValueError`` propagates.
     """
     panel = np.asarray(panel, dtype=float)
     n = panel.shape[1]
@@ -121,8 +122,8 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
     run = fit_fn(panel, w)
     h_max = max(plan.horizons)
     for i, t in enumerate(plan.origins):
+        sub = truncate_run(run, t)
         try:
-            sub = truncate_run(run, t)
             means = forecast_fn(sub, h_max)
             means = np.asarray(means, dtype=float)
         except _NUMERICAL_ERRORS as exc:

@@ -12,7 +12,8 @@ import numpy as np
 from .design import (DesignRecipe, _w_at, _z_at, build_design, design_columns,
                      design_stack, spillover_matrix)
 from .graph import WeightMatrix
-from .lgss import Belief, FilterRun, StateNoiseSpec, _state_q, run_filter
+from .lgss import (Belief, FilterRun, StateNoiseSpec, _state_q, _time_update,
+                   run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -110,14 +111,6 @@ def _forecast_covariates(recipe: DesignRecipe, horizon: int, future_z):
     return [np.asarray(future_z[h], dtype=float) for h in range(horizon)]
 
 
-def _normal_rows(rngs, n_cols: int) -> np.ndarray:
-    """One row of ``n_cols`` standard normals from each draw's generator."""
-    out = np.empty((len(rngs), n_cols))
-    for rng, row in zip(rngs, out):
-        rng.standard_normal(out=row)
-    return out
-
-
 # Draws per slab when the linear predictor is accumulated: the temporaries
 # stay 64 x N whatever S, so the returned blocks are nearly all the memory.
 _DRAW_SLAB = 64
@@ -130,36 +123,48 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     """Monte-Carlo forecast paths of all ``n_draws`` draws, advanced together.
 
     Each draw starts from theta ~ N(m, P) at the final filtered belief.
-    At horizon h it steps theta <- phi theta + (1 - phi) m + Q^1/2 e and
-    accumulates the linear predictor X_h theta, column by column, into
-    the S x N block ``blocks[h - 1]`` of the returned H x S x N array; no
-    S x N x K design is formed. ``observe(h - 1, block, rngs)`` turns the
-    block in place into the horizon's output and returns the S x N
-    observations that become the newest lag. ``networks[h - 1]`` and
-    ``covariates[h - 1]`` are the W and z of horizon h; their length is
-    the horizon count H.
+    At horizon h it steps theta <- phi F theta + (1 - phi) m + Q^1/2 e
+    (F = I when ``state_noise.transition`` is None) and accumulates the
+    linear predictor X_h theta, column by column, into the S x N block
+    ``blocks[h - 1]`` of the returned H x S x N array; no S x N x K design
+    is formed. ``observe(h - 1, block, rng)`` turns the block in place
+    into the horizon's output and returns the S x N observations that
+    become the newest lag. ``networks[h - 1]`` and ``covariates[h - 1]``
+    are the W and z of horizon h; their length is the horizon count H.
 
-    Draw s has its own generator ``default_rng([rng_seed, s])``. It takes
-    its initial K normals, then per horizon K state normals followed by
-    what ``observe`` takes for its row: the order of a draw simulated on
-    its own. So draw s is the same whatever ``n_draws``.
+    The random streams are keyed by what they draw, not by draw:
+    ``default_rng([rng_seed, 0, 1])`` draws the initial S x K block, and
+    at horizon h >= 1 ``default_rng([rng_seed, h, 1])`` draws the S x K
+    state-noise block and ``default_rng([rng_seed, h, 2])`` is the
+    generator ``observe`` draws its S x N block from, 2H + 1 generators in
+    all. No key ends in 0: numpy's SeedSequence pads a key with zeros, so
+    ``[rng_seed, 0, 0]`` would be the stream of ``default_rng(rng_seed)``.
+    numpy fills a block in row order, so row s of each block is the same
+    whatever ``n_draws``, and horizon h's blocks are the same whatever H:
+    draw s's path up to h does not depend on either.
     """
     ctx = run.context
     panel = ctx["panel"]
     t_last = ctx["obs_times"][-1]
     m, k = run.means[-1], run.means.shape[1]
+    f = state_noise.transition
     q_mat, _ = _state_q(state_noise, run.means[-2:], k)
     q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
     p_chol = np.linalg.cholesky(run.covs[-1] + 1e-12 * np.eye(k))
 
-    rngs = [np.random.default_rng([rng_seed, s]) for s in range(n_draws)]
-    theta = m + _normal_rows(rngs, k) @ p_chol.T
+    def stream(h, kind):
+        return np.random.default_rng([rng_seed, h, kind])
+
+    theta = m + stream(0, 1).standard_normal((n_draws, k)) @ p_chol.T
     # Until the first draw is fed back, a lag is one length-N vector that
     # broadcasts against the S x N blocks.
     lags = [panel[t_last - l + 1] for l in range(1, recipe.lag_order + 1)]
     blocks = np.empty((len(networks), n_draws, panel.shape[1]))
     for h, (w_h, z_h) in enumerate(zip(networks, covariates)):
-        theta = phi * theta + (1.0 - phi) * m + _normal_rows(rngs, k) @ q_chol.T
+        if f is not None:
+            theta = theta @ f.T
+        noise = stream(h + 1, 1).standard_normal((n_draws, k)) @ q_chol.T
+        theta = phi * theta + (1.0 - phi) * m + noise
         for start in range(0, n_draws, _DRAW_SLAB):
             rows = slice(start, start + _DRAW_SLAB)
             eta, th = blocks[h, rows], theta[rows]
@@ -169,7 +174,7 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
                     np.multiply(col, th[:, :1], out=eta)
                 else:
                     eta += col * th[:, j:j + 1]
-        lags = [observe(h, blocks[h], rngs)] + lags[:-1]
+        lags = [observe(h, blocks[h], stream(h + 1, 2))] + lags[:-1]
     return blocks
 
 
@@ -273,8 +278,9 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     t_last = ctx["obs_times"][-1]
     n = panel.shape[1]
 
-    m = run.means[-1]
+    m, p_state = run.means[-1], run.covs[-1]
     q_mat, _ = _state_q(spec.state_noise, run.means[-2:], m.shape[0])
+    f = spec.state_noise.transition
     r_mat = spec.obs_noise.matrix(n)
     i_net, i_own = _beta_indices(spec.recipe)
 
@@ -284,10 +290,10 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     y_prev = panel[t_last]
     sigma_prev = np.zeros((n, n))
     forecasts = []
-    # The coefficients step as a random walk: at horizon h their variance
-    # is P + h Q, as in the filter's prediction at h = 1.
-    p_state = run.covs[-1] + q_mat
     for k, (w_k, z_k) in enumerate(zip(networks, covariates), start=1):
+        # The coefficients step as in the filter's prediction: mean F m and
+        # variance F P F' + Q, so P + h Q at horizon h when F is None.
+        m, p_state = _time_update(m, p_state, q_mat, f)
         x_k = build_design(w_k, [y_prev], z_k, spec.recipe).entries
         mean_k = x_k @ m
         beta1 = m[i_net] if i_net is not None else 0.0
@@ -299,7 +305,6 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
                                           network_policy=network_policy))
         y_prev = mean_k
         sigma_prev = cov_k
-        p_state = p_state + q_mat
     return forecasts
 
 
@@ -310,8 +315,10 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     """Monte-Carlo reference forecasts: sample coefficient paths and
     innovations through the recursion; returns per-horizon draw matrices.
 
-    All draws advance together; draw s uses its own generator
-    ``default_rng([rng_seed, s])``, so it does not depend on ``n_draws``.
+    All draws advance together, and each horizon's S x N observation
+    noise is one ``standard_normal`` block through chol(R), drawn from
+    that horizon's observation stream (see ``_simulate_draws``). Draw s
+    does not depend on ``n_draws``, nor its path up to h on ``horizon``.
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
@@ -321,8 +328,8 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     covariates = _forecast_covariates(spec.recipe, horizon, future_z)
     r_chol = np.linalg.cholesky(spec.obs_noise.matrix(ctx["panel"].shape[1]))
 
-    def observe(h, block, rngs):
-        block += _normal_rows(rngs, block.shape[1]) @ r_chol.T
+    def observe(h, block, rng):
+        block += rng.standard_normal(block.shape) @ r_chol.T
         return block
 
     draws = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
@@ -338,12 +345,13 @@ def plug_in_forecast(run: FilterRun, spec: GaussianSpec,
     panel, w_seq = ctx["panel"], ctx["w_seq"]
     t_last = ctx["obs_times"][-1]
     n = panel.shape[1]
-    m = run.means[-1]
-    q_mat, _ = _state_q(spec.state_noise, run.means[-2:], m.shape[0])
+    q_mat, _ = _state_q(spec.state_noise, run.means[-2:], run.means.shape[1])
+    m, p = _time_update(run.means[-1], run.covs[-1], q_mat,
+                        spec.state_noise.transition)
     z_last = _z_at(ctx["z"], t_last)
     x_hat = build_design(w_hat, [panel[t_last]], z_last, spec.recipe).entries
     mean = x_hat @ m
-    cov = x_hat @ (run.covs[-1] + q_mat) @ x_hat.T + spec.obs_noise.matrix(n)
+    cov = x_hat @ p @ x_hat.T + spec.obs_noise.matrix(n)
     return GaussianForecast(mean=mean, cov=0.5 * (cov + cov.T), horizon=1,
                             network_policy="user_supplied")
 

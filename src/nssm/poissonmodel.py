@@ -114,18 +114,20 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
                 future_w=None, future_z=None) -> List[ForecastEnsemble]:
     """Monte-Carlo multi-step predictive simulation.
 
-    Each draw samples a coefficient path forward (damped toward the
-    filtered mean when the stabilizer is enabled), caps the linear
-    predictor and intensity, samples counts, and feeds the counts into
-    the next step's design. The draws are batched: all S advance
-    together, and W y is one matrix product over the draws per horizon
-    (in slabs of 64 draws). Deterministic
-    given (run, spec, seed): draw s has its own generator
-    ``default_rng([rng_seed, s])``, so it is the same whatever
-    ``n_draws``. ``future_w``, if given, holds the network of each
-    horizon; otherwise the last fitted network is carried forward.
-    ``future_z`` holds the covariates of each horizon; a recipe with
-    covariate columns requires it.
+    Each draw samples a coefficient path forward (through the transition
+    F, if the spec has one, and damped toward the filtered mean when the
+    stabilizer is enabled), caps the linear predictor and intensity,
+    samples counts, and feeds the counts into the next step's design.
+    The draws are batched: all S advance together, W y is one matrix
+    product over the draws per horizon (in slabs of 64 draws), and each
+    horizon's counts are one ``poisson`` call on the S x N intensities,
+    from that horizon's observation stream (see
+    ``gaussmodel._simulate_draws``). Deterministic given (run, spec,
+    seed); draw s is the same whatever ``n_draws``, and its path up to
+    horizon h the same whatever ``horizon``. ``future_w``, if given,
+    holds the network of each horizon; otherwise the last fitted network
+    is carried forward. ``future_z`` holds the covariates of each
+    horizon; a recipe with covariate columns requires it.
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
@@ -139,15 +141,14 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     phi = stab.phi if stab.enabled else 1.0
     eta_cap = stab.eta_max if stab.enabled else BASELINE_ETA_CAP
     lam_cap = stab.lambda_max if stab.enabled else np.inf
-    counts = np.empty((horizon, n_draws, ctx["panel"].shape[1]), dtype=np.int64)
+    counts = []
 
-    def observe(h, block, rngs):
+    def observe(h, block, rng):
         np.clip(block, -eta_cap, eta_cap, out=block)
         np.exp(block, out=block)
         np.minimum(block, lam_cap, out=block)
-        for rng, lam, row in zip(rngs, block, counts[h]):
-            row[:] = rng.poisson(lam)
-        return counts[h]
+        counts.append(rng.poisson(block))
+        return counts[-1]
 
     intensities = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
                                   rng_seed, networks, covariates,

@@ -174,20 +174,42 @@ def _mc_networks(run, horizon, future_w):
     return [last.entries] * horizon
 
 
+def _mc_streams(rng_seed, horizon):
+    """The generators both Monte-Carlo forecasters draw from, one per
+    (horizon, variate): the initial draw, then per horizon the state noise
+    and the observation. Each is shared by all draws, which take their
+    values from it in draw order."""
+    def stream(h, kind):
+        return np.random.default_rng([rng_seed, h, kind])
+
+    return (stream(0, 1), [stream(h, 1) for h in range(1, horizon + 1)],
+            [stream(h, 2) for h in range(1, horizon + 1)])
+
+
+def _mc_transition(state_noise, k):
+    f = state_noise.transition
+    return np.eye(k) if f is None else f
+
+
 def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
                          future_w=None, future_z=None):
     """Poisson Monte-Carlo forecast, one draw at a time.
 
-    Draw s uses ``default_rng([rng_seed, s])``: K initial normals, then per
-    horizon K state normals and N Poisson counts. Returns per-horizon
-    (intensities, counts), each S x N.
+    Draw s takes K initial normals from the initial stream, then per
+    horizon h K state normals from the horizon's state stream and N
+    Poisson counts from its observation stream; each stream is shared by
+    all draws, so draw s takes the s-th values of each. The coefficients
+    step as theta <- phi F theta + (1 - phi) m + Q^1/2 e. Returns
+    per-horizon (intensities, counts), each S x N.
     """
     panel = run.context["panel"]
     t_last = run.context["obs_times"][-1]
     n, p = panel.shape[1], spec.recipe.lag_order
     belief, p_chol, q_chol = _mc_start(run, spec.state_noise)
     k = belief.dim
+    f = _mc_transition(spec.state_noise, k)
     networks = _mc_networks(run, horizon, future_w)
+    init_rng, state_rngs, obs_rngs = _mc_streams(rng_seed, horizon)
     phi = stab.phi if stab.enabled else 1.0
     eta_cap = stab.eta_max if stab.enabled else 20.0
     lam_cap = stab.lambda_max if stab.enabled else np.inf
@@ -195,17 +217,16 @@ def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
     intensities = [np.empty((n_draws, n)) for _ in range(horizon)]
     counts = [np.empty((n_draws, n), dtype=np.int64) for _ in range(horizon)]
     for s in range(n_draws):
-        rng = np.random.default_rng([rng_seed, s])
-        theta = belief.mean + p_chol @ rng.standard_normal(k)
+        theta = belief.mean + p_chol @ init_rng.standard_normal(k)
         lag_window = [panel[t_last - l + 1].copy() for l in range(1, p + 1)]
         for h in range(horizon):
-            theta = phi * theta + (1.0 - phi) * belief.mean \
-                + q_chol @ rng.standard_normal(k)
+            theta = phi * (f @ theta) + (1.0 - phi) * belief.mean \
+                + q_chol @ state_rngs[h].standard_normal(k)
             z_h = None if future_z is None else future_z[h]
             x_h = _dense_design(networks[h], lag_window, z_h, spec.recipe)
             eta = np.clip(x_h @ theta, -eta_cap, eta_cap)
             lam = np.minimum(np.exp(eta), lam_cap)
-            y_h = rng.poisson(lam).astype(np.int64)
+            y_h = obs_rngs[h].poisson(lam).astype(np.int64)
             intensities[h][s] = lam
             counts[h][s] = y_h
             lag_window = [y_h.astype(float)] + lag_window[:-1]
@@ -216,8 +237,11 @@ def mc_forecast_gaussian_per_draw(run, spec, horizon, n_draws, rng_seed,
                                   future_w=None, future_z=None):
     """Gaussian Monte-Carlo forecast, one draw at a time.
 
-    Draw s uses ``default_rng([rng_seed, s])``: K initial normals, then per
-    horizon K state normals and N observation normals through chol(R).
+    Draw s takes K initial normals from the initial stream, then per
+    horizon h K state normals from the horizon's state stream and N
+    observation normals, through chol(R), from its observation stream;
+    each stream is shared by all draws, so draw s takes the s-th values
+    of each. The coefficients step as theta <- F theta + Q^1/2 e.
     Returns the per-horizon S x N draws.
     """
     panel = run.context["panel"]
@@ -225,19 +249,20 @@ def mc_forecast_gaussian_per_draw(run, spec, horizon, n_draws, rng_seed,
     n, p = panel.shape[1], spec.recipe.lag_order
     belief, p_chol, q_chol = _mc_start(run, spec.state_noise)
     k = belief.dim
+    f = _mc_transition(spec.state_noise, k)
     networks = _mc_networks(run, horizon, future_w)
+    init_rng, state_rngs, obs_rngs = _mc_streams(rng_seed, horizon)
     r_chol = np.linalg.cholesky(spec.obs_noise.matrix(n))
 
     draws = [np.empty((n_draws, n)) for _ in range(horizon)]
     for s in range(n_draws):
-        rng = np.random.default_rng([rng_seed, s])
-        theta = belief.mean + p_chol @ rng.standard_normal(k)
+        theta = belief.mean + p_chol @ init_rng.standard_normal(k)
         lag_window = [panel[t_last - l + 1].copy() for l in range(1, p + 1)]
         for h in range(horizon):
-            theta = theta + q_chol @ rng.standard_normal(k)
+            theta = f @ theta + q_chol @ state_rngs[h].standard_normal(k)
             z_h = None if future_z is None else future_z[h]
             x_h = _dense_design(networks[h], lag_window, z_h, spec.recipe)
-            y_h = x_h @ theta + r_chol @ rng.standard_normal(n)
+            y_h = x_h @ theta + r_chol @ obs_rngs[h].standard_normal(n)
             draws[h][s] = y_h
             lag_window = [y_h] + lag_window[:-1]
     return draws

@@ -240,6 +240,21 @@ class TestConfigErrors:
         assert "sigma2" in json.loads(capsys.readouterr().err)["message"]
 
 
+    def test_origin_before_first_observation_exit_2(self, tmp_path, capsys,
+                                                   sim_config):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        cfg = write_json(tmp_path / "c.json",
+                         {"model": "gaussian", "p": 1, "sigma2": 0.25,
+                          "horizons": [1], "origins": [0, 10]})
+        code = run_cli(["evaluate", "--config", cfg,
+                        "--out", str(tmp_path / "o"), "--seed", "0",
+                        "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(sim_out / "weight.csv")])
+        assert code == 2
+        assert "origin 0" in json.loads(capsys.readouterr().err)["message"]
+
 class TestIrfAndPerturb:
     def test_irf_outputs(self, tmp_path, sim_config):
         sim_out = tmp_path / "sim"

@@ -171,6 +171,25 @@ class TestRollingEval:
             rolling_eval(lambda p, w: dummy_run(p), forecast_fn, panel, None,
                          self._plan((5, 8), horizons=(1, 2)))
 
+    def test_origin_off_the_observation_times_raises(self):
+        # A plan mistake is not a numerical failure: origin 0 precedes the
+        # first observation time (lag order 1), so it is not masked.
+        rng = np.random.default_rng(4)
+        w = small_w()
+        panel = rng.standard_normal((30, 6))
+        recipe = DesignRecipe()
+        spec = GaussianSpec(
+            recipe=recipe,
+            state_noise=StateNoiseSpec.constant(1e-4 * np.eye(recipe.n_cols)),
+        )
+
+        def forecast_fn(sub, h_max):
+            return [sub.context["panel"][-1] for _ in range(h_max)]
+
+        with pytest.raises(ValueError, match="origin 0 is not an observation"):
+            rolling_eval(lambda p, w: fit_gaussian(p, w, None, spec),
+                         forecast_fn, panel, w, self._plan((0, 10)))
+
     def test_failure_mask_records_not_raises(self):
         panel = np.ones((12, 2))
 

@@ -30,6 +30,11 @@ def make_w(n=6, seed=0, density=0.5):
     return row_normalize(Adjacency(a))
 
 
+# A transition that is not symmetric, so a forecaster that applies F'
+# for F is caught.
+F_ASYM = np.array([[0.5, 0.2, 0.0], [0.0, 0.6, 0.0], [0.1, 0.0, 0.4]])
+
+
 def default_spec(q=1e-4, sigma2=0.25):
     recipe = DesignRecipe()
     return GaussianSpec(
@@ -185,6 +190,26 @@ class TestForecastGaussian:
         # 1%; leaving Q out understates the variance by 15-20% here.
         assert np.allclose(np.diag(fc.cov), draws.var(axis=0), rtol=0.05)
 
+    def test_h1_with_transition_matches_mc(self):
+        # With F the h = 1 coefficients have mean F m and variance
+        # F P F' + Q, in the closed form and in the Monte-Carlo draws.
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=40)
+        spec = GaussianSpec(
+            recipe=DesignRecipe(), obs_noise=ObsNoise("scalar", 0.25),
+            m0=np.array([0.1, 0.3, 0.4]),
+            state_noise=StateNoiseSpec(mode="constant", q=0.05 * np.eye(3),
+                                       transition=0.5 * np.eye(3)))
+        run = fit_gaussian(panel, w, None, spec)
+        fc = forecast_gaussian(run, spec, 1)[0]
+        draws = mc_forecast_gaussian(run, spec, 1, n_draws=20_000,
+                                     rng_seed=0)[0]["draws"]
+        se = draws.std(axis=0) / np.sqrt(20_000)
+        assert np.max(np.abs(fc.mean - draws.mean(axis=0)) / se) < 4.0
+        assert np.allclose(np.diag(fc.cov), draws.var(axis=0), rtol=0.05)
+        x = build_design(w, [panel[-1]], None, spec.recipe).entries
+        assert np.allclose(fc.mean, x @ (0.5 * run.means[-1]), atol=1e-12)
+
     def test_multi_step_matches_mc(self):
         # Closed-form mean should track the Monte-Carlo mean at h <= 4.
         w = make_w(n=8, seed=5)
@@ -229,9 +254,11 @@ class TestForecastGaussian:
 
 
 class TestMcForecastGaussian:
-    """mc_forecast_gaussian advances all draws together; the per-draw loop
-    in ``oracles`` is the reference, up to the order of floating-point
-    sums."""
+    """mc_forecast_gaussian advances all draws together and draws each
+    horizon's state and observation noise as one block; the per-draw loop
+    in ``oracles``, which takes draw s's values one at a time from the
+    same shared streams, is the reference, up to the order of
+    floating-point sums."""
 
     @staticmethod
     def assert_close(got, want):
@@ -288,6 +315,28 @@ class TestMcForecastGaussian:
         for ds, dl in zip(small, large):
             assert np.array_equal(ds["draws"], dl["draws"][:10])
 
+    def test_horizon_invariance(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=20)
+        spec = default_spec()
+        run = fit_gaussian(panel, w, None, spec)
+        short = mc_forecast_gaussian(run, spec, 2, 20, rng_seed=3)
+        long = mc_forecast_gaussian(run, spec, 5, 20, rng_seed=3)
+        for ds, dl in zip(short, long):
+            assert np.array_equal(ds["draws"], dl["draws"])
+
+    def test_transition_matches_per_draw_oracle(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=30)
+        spec = GaussianSpec(
+            recipe=DesignRecipe(), obs_noise=ObsNoise("scalar", 0.25),
+            state_noise=StateNoiseSpec(mode="constant", q=1e-3 * np.eye(3),
+                                       transition=F_ASYM))
+        run = fit_gaussian(panel, w, None, spec)
+        got = mc_forecast_gaussian(run, spec, 4, 70, rng_seed=6)
+        want = oracles.mc_forecast_gaussian_per_draw(run, spec, 4, 70, 6)
+        self.assert_close(got, want)
+
     def test_unknown_policy_rejected(self):
         w = make_w()
         panel, _ = simulate_panel(w, t_len=20)
@@ -319,6 +368,23 @@ class TestPlugInForecast:
         run = fit_gaussian(panel, w, None, spec)
         exact = forecast_gaussian(run, spec, 1)[0]
         plug = plug_in_forecast(run, spec, w)
+        assert np.allclose(plug.mean, exact.mean, atol=1e-12)
+        assert np.allclose(plug.cov, exact.cov, atol=1e-12)
+
+    def test_identical_network_matches_h1_with_transition(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=30)
+        spec = GaussianSpec(
+            recipe=DesignRecipe(), obs_noise=ObsNoise("scalar", 0.25),
+            state_noise=StateNoiseSpec(mode="constant", q=1e-3 * np.eye(3),
+                                       transition=F_ASYM))
+        run = fit_gaussian(panel, w, None, spec)
+        exact = forecast_gaussian(run, spec, 1)[0]
+        plug = plug_in_forecast(run, spec, w)
+        x = build_design(w, [panel[-1]], None, spec.recipe).entries
+        p = F_ASYM @ run.covs[-1] @ F_ASYM.T + 1e-3 * np.eye(3)
+        assert np.allclose(plug.mean, x @ F_ASYM @ run.means[-1], atol=1e-12)
+        assert np.allclose(plug.cov, x @ p @ x.T + 0.25 * np.eye(6), atol=1e-12)
         assert np.allclose(plug.mean, exact.mean, atol=1e-12)
         assert np.allclose(plug.cov, exact.cov, atol=1e-12)
 

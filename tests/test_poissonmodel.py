@@ -28,6 +28,11 @@ def make_w(n=6, seed=0):
     return row_normalize(Adjacency(a))
 
 
+# A transition that is not symmetric, so a forecaster that applies F'
+# for F is caught.
+F_ASYM = np.array([[0.5, 0.2, 0.0], [0.0, 0.6, 0.0], [0.1, 0.0, 0.4]])
+
+
 def default_spec(q=1e-4):
     recipe = DesignRecipe()
     return PoissonSpec(
@@ -144,6 +149,38 @@ class TestMcForecast:
         for es, el in zip(small, large):
             assert np.array_equal(es.counts, el.counts[:10])
 
+    def test_horizon_invariance(self):
+        # Each horizon has its own streams: draw s's path up to h is the
+        # same whatever the horizon count.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        short = mc_forecast(run, spec, 2, 20, StabilizerConfig(), rng_seed=3)
+        long = mc_forecast(run, spec, 5, 20, StabilizerConfig(), rng_seed=3)
+        for es, el in zip(short, long):
+            assert np.array_equal(es.counts, el.counts)
+            assert np.array_equal(es.intensities, el.intensities)
+
+    @pytest.mark.parametrize("n_draws", [10, 300])
+    def test_generators_do_not_grow_with_draws(self, monkeypatch, n_draws):
+        # One generator per (horizon, variate): the initial draw, then the
+        # state noise and the counts of each horizon.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        calls = []
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: calls.append(seed) or make(seed))
+        mc_forecast(run, spec, 4, n_draws, StabilizerConfig(), rng_seed=3)
+        assert len(calls) == 2 * 4 + 1
+        # Distinct keys, none ending in 0: SeedSequence pads a key with
+        # zeros, so [3, 0, 0] would be the stream of default_rng(3).
+        assert len({tuple(c) for c in calls}) == len(calls)
+        assert all(c[-1] != 0 for c in calls)
+
     def test_stabilized_intensities_capped(self):
         w = make_w()
         panel, _ = simulate_counts(w, t_len=30)
@@ -164,9 +201,11 @@ class TestMcForecast:
 
 
 class TestBatchedAgainstPerDraw:
-    """mc_forecast advances all draws together, in slabs of 64; the
-    per-draw loop in ``oracles`` is the reference. Counts must match
-    exactly; intensities differ only in the order of floating-point sums."""
+    """mc_forecast advances all draws together, in slabs of 64, and draws
+    each horizon's state noise and counts as one block; the per-draw loop
+    in ``oracles``, which takes draw s's values one at a time from the
+    same shared streams, is the reference. Counts must match exactly;
+    intensities differ only in the order of floating-point sums."""
 
     @pytest.mark.parametrize("recipe", [
         DesignRecipe(),
@@ -203,6 +242,29 @@ class TestBatchedAgainstPerDraw:
             assert np.allclose(e.intensities, lam[h], rtol=1e-12, atol=0.0)
         carried = mc_forecast(run, spec, 4, 20, stab, rng_seed=2)
         assert not np.array_equal(carried[0].intensities, ens[0].intensities)
+
+    @pytest.mark.parametrize("stab", [StabilizerConfig(),
+                                      StabilizerConfig.disabled()],
+                             ids=["stabilized", "disabled"])
+    def test_transition_matches_per_draw_oracle(self, stab):
+        # theta <- phi F theta + (1 - phi) m + Q^1/2 e, with an F that is
+        # not symmetric, so F and F' give different paths.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = PoissonSpec(
+            recipe=DesignRecipe(), m0=np.array([0.3, 0.1, 0.1]),
+            state_noise=StateNoiseSpec(mode="constant", q=1e-3 * np.eye(3),
+                                       transition=F_ASYM))
+        run = fit_poisson(panel, w, spec)
+        ens = mc_forecast(run, spec, 4, 70, stab, rng_seed=5)
+        lam, cnt = oracles.mc_forecast_per_draw(run, spec, 4, 70, stab, 5)
+        for h, e in enumerate(ens):
+            assert np.array_equal(e.counts, cnt[h])
+            assert np.allclose(e.intensities, lam[h], rtol=1e-12, atol=0.0)
+        plain = PoissonSpec(recipe=spec.recipe, m0=spec.m0,
+                            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(3)))
+        walk = mc_forecast(run, plain, 4, 70, stab, rng_seed=5)
+        assert not np.allclose(walk[0].intensities, ens[0].intensities)
 
     def test_short_future_w_rejected(self):
         w = make_w()
