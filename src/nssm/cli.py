@@ -330,16 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
            needs_data=True)
     common(sub.add_parser("diagnose", help="stability and break diagnostics"),
            needs_data=True)
-    p_irf = sub.add_parser("irf", help="hop-decomposed impulse responses")
-    p_irf.add_argument("--config", required=True)
-    p_irf.add_argument("--out", required=True)
-    p_irf.add_argument("--seed", type=int, default=0)
-    p_irf.add_argument("--weight", required=True)
-    p_pert = sub.add_parser("perturb", help="controlled network perturbation")
-    p_pert.add_argument("--config", required=True)
-    p_pert.add_argument("--out", required=True)
-    p_pert.add_argument("--seed", type=int, default=0)
-    p_pert.add_argument("--weight", required=True)
+    for name, text in (("irf", "hop-decomposed impulse responses"),
+                       ("perturb", "controlled network perturbation")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--weight", required=True, help="weight-matrix CSV")
     return parser
 
 
@@ -362,15 +357,11 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg, out)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_CONFIG
     except np.linalg.LinAlgError as exc:  # SingularInnovationError too
         print(json.dumps({"error": "numerical", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError too
         print(json.dumps({"error": "config", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_CONFIG

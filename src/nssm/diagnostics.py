@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import spillover_matrix
+from .design import _w_at, spillover_matrix
 from .graph import (
     InvariantVector,
     Partition,
@@ -64,8 +64,8 @@ class BreakSet:
 def stability_report(beta1_path, beta2_path, w_seq) -> StabilityReport:
     """Evaluate spillover operators along coefficient paths.
 
-    ``w_seq`` may be a single WeightMatrix or a per-time sequence of the
-    same length as the paths.
+    ``w_seq`` may be a single WeightMatrix, a sequence of one, or a
+    per-time sequence of the same length as the paths (``_w_at``).
     """
     b1 = np.asarray(beta1_path, dtype=float)
     b2 = np.asarray(beta2_path, dtype=float)
@@ -74,7 +74,7 @@ def stability_report(beta1_path, beta2_path, w_seq) -> StabilityReport:
     t_len = b1.shape[0]
     ops, rhos, proxy = np.empty(t_len), np.empty(t_len), np.empty(t_len)
     for t in range(t_len):
-        w_t = w_seq if isinstance(w_seq, WeightMatrix) else w_seq[t]
+        w_t = _w_at(w_seq, t)
         b_t = spillover_matrix(float(b1[t]), float(b2[t]), w_t)
         ops[t] = operator_norm(b_t)
         rhos[t] = spectral_radius(b_t)
@@ -204,7 +204,7 @@ def meso_reduce(w_seq, part: Partition, panel, beta_paths, z=None, gamma=None):
     bounds = np.zeros(t_len)
     residuals = np.zeros((t_len, part.n_communities))
     for t in range(1, t_len):
-        w_t = w_seq if isinstance(w_seq, WeightMatrix) else w_seq[t]
+        w_t = _w_at(w_seq, t)
         qm = quotient_operator(w_t, part)
         deltas[t] = qm.delta
         b0, b1, b2 = paths[t, 0], paths[t, 1], paths[t, 2]

@@ -27,7 +27,6 @@ class EvalPlan:
     origins: Tuple[int, ...]
     horizons: Tuple[int, ...] = DEFAULT_HORIZONS
     t_len: Optional[int] = None
-    bootstrap: Tuple[int, int, int] = (8, 2000, 0)  # (block_len, B, seed)
 
     def __post_init__(self):
         horizons = tuple(sorted(int(h) for h in self.horizons))

@@ -12,8 +12,8 @@ import numpy as np
 from .design import (DesignRecipe, _w_at, _z_at, build_design, design_columns,
                      design_stack, spillover_matrix)
 from .graph import WeightMatrix
-from .lgss import (Belief, FilterRun, StateNoiseSpec, _state_q, _time_update,
-                   run_filter)
+from .lgss import (Belief, FilterRun, StateNoiseSpec, _as_r, _state_q,
+                   _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -27,24 +27,18 @@ class ObsNoise:
 
     def block_r(self, n: int) -> np.ndarray:
         """R as an ObsBlock takes it: the length-N variance vector for
-        scalar or diagonal noise, the N x N matrix for full noise."""
+        scalar or diagonal noise, the N x N matrix for full noise; checked
+        positive definite by ``lgss._as_r``."""
         if self.kind == "scalar":
-            sigma2 = float(self.value)
-            if sigma2 <= 0:
-                raise ValueError("sigma2 must be positive")
-            return np.full(n, sigma2)
-        if self.kind == "diagonal":
-            d = np.asarray(self.value, dtype=float)
-            if d.shape != (n,) or np.any(d <= 0):
-                raise ValueError("diagonal obs noise must be length-N positive")
-            return d
-        if self.kind == "full":
-            r = np.asarray(self.value, dtype=float)
-            if r.shape != (n, n):
-                raise ValueError("full obs noise must be N x N")
-            np.linalg.cholesky(r)
-            return r
-        raise ValueError(f"unknown obs noise kind {self.kind!r}")
+            return _as_r(np.full(n, float(self.value)))
+        shape = {"diagonal": (n,), "full": (n, n)}.get(self.kind)
+        if shape is None:
+            raise ValueError(f"unknown obs noise kind {self.kind!r}")
+        r = np.asarray(self.value, dtype=float)
+        if r.shape != shape:
+            raise ValueError(f"{self.kind} obs noise must have shape {shape}, "
+                             f"got {r.shape}")
+        return _as_r(r)
 
     def matrix(self, n: int) -> np.ndarray:
         """R as an N x N matrix."""
@@ -374,6 +368,8 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
     edge = spec.edge_submodel
     panel = np.asarray(panel, dtype=float)
     edge_obs = np.asarray(edge_obs, dtype=float)
+    if not (np.all(np.isfinite(panel)) and np.all(np.isfinite(edge_obs))):
+        raise ValueError("panel and edge_obs must be finite")
     t_len, n = panel.shape
     p = spec.recipe.lag_order
     k_n = spec.recipe.n_cols

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -18,7 +17,6 @@ class Provenance(str, Enum):
     OBSERVED = "observed"
     ROW_NORMALIZED = "row_normalized"
     PERTURBED = "perturbed"
-    SIMULATED = "simulated"
 
 
 _ROW_SUM_EPS = 1e-12
@@ -29,8 +27,6 @@ class Adjacency:
     """Nonnegative adjacency matrix with zero diagonal."""
 
     entries: np.ndarray
-    directed: bool = True
-    time_index: Optional[int] = None
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
@@ -55,7 +51,6 @@ class WeightMatrix:
 
     entries: np.ndarray
     provenance: Provenance = Provenance.OBSERVED
-    perturb_kind: Optional[str] = None
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
@@ -243,7 +238,7 @@ def perturb(w: WeightMatrix, kind: str, rng_seed: int = 0, *, frac: float = 0.0,
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
 
-    return WeightMatrix(out, provenance=Provenance.PERTURBED, perturb_kind=kind)
+    return WeightMatrix(out, provenance=Provenance.PERTURBED)
 
 
 def _renormalize_rows(mat):

@@ -70,6 +70,8 @@ class StateNoiseSpec:
     mode ``constant`` uses the fixed psd matrix ``q``; mode ``threshold``
     switches component variances between q0 and q1 according to whether
     the previous filtered increment exceeded d (strict inequality).
+    ``transition``, if given, is the finite K x K matrix F of the state
+    step, K the size of ``q`` or ``q0``.
     """
 
     mode: str = "constant"
@@ -102,7 +104,12 @@ class StateNoiseSpec:
         else:
             raise ValueError(f"unknown state-noise mode {self.mode!r}")
         if self.transition is not None:
-            object.__setattr__(self, "transition", np.asarray(self.transition, dtype=float))
+            f = np.asarray(self.transition, dtype=float)
+            k = self.q.shape[0] if self.mode == "constant" else self.q0.size
+            if f.shape != (k, k) or not np.all(np.isfinite(f)):
+                raise ValueError(f"transition F must be a finite {k} x {k} "
+                                 f"matrix, got shape {f.shape}")
+            object.__setattr__(self, "transition", f)
 
     @classmethod
     def constant(cls, q) -> "StateNoiseSpec":
@@ -207,14 +214,9 @@ def predict(b: Belief, q_t: np.ndarray, f: Optional[np.ndarray] = None,
     """One-step state prediction: mean F m, cov F P F' + Q."""
     q_t = _symmetrize(np.asarray(q_t, dtype=float))
     _check_psd(q_t, "state noise Q_t")
-    if f is None:
-        mean = b.mean
-        cov = b.cov + q_t
-    else:
-        f = np.asarray(f, dtype=float)
-        mean = f @ b.mean
-        cov = f @ b.cov @ f.T + q_t
-    return Belief(mean=mean, cov=_symmetrize(cov),
+    mean, cov = _time_update(b.mean, b.cov, q_t,
+                             None if f is None else np.asarray(f, dtype=float))
+    return Belief(mean=mean, cov=cov,
                   time_index=b.time_index + 1 if time_index is None else time_index)
 
 

@@ -38,12 +38,13 @@ class PoissonSpec:
 
 @dataclass(frozen=True)
 class StabilizerConfig:
-    """Forecast-only damping and caps; never applied during filtering."""
+    """Forecast-only damping and caps; never applied during filtering.
+    ``disabled()`` is no damping (phi = 1), the filter's baseline cap on
+    the linear predictor and no cap on the intensity."""
 
     phi: float = 0.98
     eta_max: float = 12.0
     lambda_max: float = 1e5
-    enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.phi <= 1.0:
@@ -53,8 +54,7 @@ class StabilizerConfig:
 
     @classmethod
     def disabled(cls) -> "StabilizerConfig":
-        return cls(phi=1.0, eta_max=BASELINE_ETA_CAP, lambda_max=np.inf,
-                   enabled=False)
+        return cls(phi=1.0, eta_max=BASELINE_ETA_CAP, lambda_max=np.inf)
 
 
 @dataclass
@@ -70,7 +70,7 @@ class ForecastEnsemble:
     def __post_init__(self):
         if self.intensities.shape != self.counts.shape or self.intensities.ndim != 2:
             raise ValueError("intensities and counts must be matching S x N arrays")
-        if self.stabilizer.enabled and np.max(self.intensities) > self.stabilizer.lambda_max:
+        if np.max(self.intensities) > self.stabilizer.lambda_max:
             raise AssertionError("stabilized intensities exceed lambda_max")
 
     @property
@@ -115,8 +115,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     """Monte-Carlo multi-step predictive simulation.
 
     Each draw samples a coefficient path forward (through the transition
-    F, if the spec has one, and damped toward the filtered mean when the
-    stabilizer is enabled), caps the linear predictor and intensity,
+    F, if the spec has one, and damped toward the filtered mean by the
+    stabilizer's phi), caps the linear predictor and intensity,
     samples counts, and feeds the counts into the next step's design.
     The draws are batched: all S advance together, W y is one matrix
     product over the draws per horizon (in slabs of 64 draws), and each
@@ -138,21 +138,18 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
         "carry_forward" if future_w is None else "user_supplied", future_w)
     covariates = _forecast_covariates(spec.recipe, horizon, future_z)
 
-    phi = stab.phi if stab.enabled else 1.0
-    eta_cap = stab.eta_max if stab.enabled else BASELINE_ETA_CAP
-    lam_cap = stab.lambda_max if stab.enabled else np.inf
     counts = []
 
     def observe(h, block, rng):
-        np.clip(block, -eta_cap, eta_cap, out=block)
+        np.clip(block, -stab.eta_max, stab.eta_max, out=block)
         np.exp(block, out=block)
-        np.minimum(block, lam_cap, out=block)
+        np.minimum(block, stab.lambda_max, out=block)
         counts.append(rng.poisson(block))
         return counts[-1]
 
     intensities = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
                                   rng_seed, networks, covariates,
-                                  observe, phi=phi)
+                                  observe, phi=stab.phi)
     return [
         ForecastEnsemble(horizon=h + 1, intensities=intensities[h],
                          counts=counts[h], stabilizer=stab, seed=rng_seed)

@@ -11,10 +11,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .design import spillover_matrix
-from .graph import Adjacency, Provenance, WeightMatrix, operator_norm, row_normalize
+from .graph import Adjacency, WeightMatrix, operator_norm, row_normalize
+from .lgss import _check_psd, _symmetrize
 
 ETA_GENERATION_CAP = 30.0
-DEFAULT_BURN_IN = 50
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,10 @@ class EdgePathSpec:
         s = np.atleast_2d(np.asarray(self.s_cov, dtype=float))
         if s.shape != (eta0.shape[0], eta0.shape[0]):
             raise ValueError("S must be p x p for eta0 of length p")
-        eig_min = float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
-        if eig_min < -1e-10:
-            raise ValueError("S must be positive semidefinite")
+        s = _symmetrize(s)
+        _check_psd(s, "edge state covariance S")
         object.__setattr__(self, "eta0", eta0)
-        object.__setattr__(self, "s_cov", 0.5 * (s + s.T))
+        object.__setattr__(self, "s_cov", s)
 
 
 def _latent_distance_adjacency(n, dim, scale, rng, target_density):
@@ -345,5 +344,5 @@ def gen_dynamic_edges(spec: EdgePathSpec, t_len: int, n: int, seed: int):
         probs = 1.0 / (1.0 + np.exp(-logits))
         a = (rng.random((n, n)) < probs).astype(float)
         np.fill_diagonal(a, 0.0)
-        adjs.append(Adjacency(a, time_index=t))
+        adjs.append(Adjacency(a))
     return adjs, eta_path

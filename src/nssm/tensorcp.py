@@ -192,6 +192,8 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
     if q_scale < 0 or p0_scale < 0:
         raise ValueError("q_scale and p0_scale must be nonnegative")
     panel = np.asarray(panel, dtype=float)
+    if not np.all(np.isfinite(panel)):
+        raise ValueError("panel contains non-finite values")
     t_len, n = panel.shape
     if t_len <= p:
         raise ValueError("panel length must exceed the lag order")

@@ -210,9 +210,7 @@ def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
     f = _mc_transition(spec.state_noise, k)
     networks = _mc_networks(run, horizon, future_w)
     init_rng, state_rngs, obs_rngs = _mc_streams(rng_seed, horizon)
-    phi = stab.phi if stab.enabled else 1.0
-    eta_cap = stab.eta_max if stab.enabled else 20.0
-    lam_cap = stab.lambda_max if stab.enabled else np.inf
+    phi, eta_cap, lam_cap = stab.phi, stab.eta_max, stab.lambda_max
 
     intensities = [np.empty((n_draws, n)) for _ in range(horizon)]
     counts = [np.empty((n_draws, n), dtype=np.int64) for _ in range(horizon)]

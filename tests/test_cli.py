@@ -37,6 +37,22 @@ def fit_config(tmp_path):
     return write_json(tmp_path / "fit.json", cfg)
 
 
+@pytest.fixture
+def poisson_sim(tmp_path):
+    """Directory of a simulated 30 x 6 Poisson panel and its network."""
+    sim_cfg = write_json(tmp_path / "sim.json", {
+        "model": "poisson", "T": 30,
+        "graph": {"kind": "sbm", "n_nodes": 6,
+                  "params": {"block_sizes": [3, 3], "p_in": 0.9,
+                             "p_out": 0.3}},
+        "coeffs": {"init": [0.2, 0.1, 0.1], "rw_sd": [0.0, 0.0, 0.0]},
+    })
+    sim_out = tmp_path / "sim"
+    assert run_cli(["simulate", "--config", sim_cfg,
+                    "--out", str(sim_out), "--seed", "4"]) == 0
+    return sim_out
+
+
 def run_cli(argv):
     return main(argv)
 
@@ -107,28 +123,38 @@ class TestPipeline:
         assert mat.shape == (4, 8)
         assert np.all(np.isfinite(mat))
 
-    def test_poisson_forecast_with_draws(self, tmp_path):
-        sim_cfg = write_json(tmp_path / "sim.json", {
-            "model": "poisson", "T": 30,
-            "graph": {"kind": "sbm", "n_nodes": 6,
-                      "params": {"block_sizes": [3, 3], "p_in": 0.9,
-                                 "p_out": 0.3}},
-            "coeffs": {"init": [0.2, 0.1, 0.1], "rw_sd": [0.0, 0.0, 0.0]},
-        })
-        sim_out = tmp_path / "sim"
-        assert run_cli(["simulate", "--config", sim_cfg,
-                        "--out", str(sim_out), "--seed", "4"]) == 0
+    def test_poisson_forecast_with_draws(self, tmp_path, poisson_sim):
         fc_cfg = write_json(tmp_path / "fc.json",
                             {"model": "poisson", "p": 1, "horizon": 2,
                              "S": 50})
         fc_out = tmp_path / "fc"
         assert run_cli(["forecast", "--config", fc_cfg,
                         "--out", str(fc_out), "--seed", "4",
-                        "--panel", str(sim_out / "panel.csv"),
-                        "--weight", str(sim_out / "weight.csv"),
+                        "--panel", str(poisson_sim / "panel.csv"),
+                        "--weight", str(poisson_sim / "weight.csv"),
                         "--dump-draws"]) == 0
         draws = np.load(fc_out / "draws.npz")
         assert draws["counts_h1"].shape == (50, 6)
+
+    def test_stabilizer_enabled_false_is_false(self, tmp_path, poisson_sim):
+        # {"enabled": false} and false both mean StabilizerConfig.disabled().
+        outs = []
+        for name, stab in (("off", False), ("enabled_false", {"enabled": False})):
+            cfg = write_json(tmp_path / f"{name}.json",
+                             {"model": "poisson", "p": 1, "horizon": 3,
+                              "S": 40, "stabilizer": stab})
+            outs.append(tmp_path / name)
+            assert run_cli(["forecast", "--config", cfg,
+                            "--out", str(outs[-1]), "--seed", "4",
+                            "--panel", str(poisson_sim / "panel.csv"),
+                            "--weight", str(poisson_sim / "weight.csv"),
+                            "--dump-draws"]) == 0
+        off, named = outs
+        assert ((off / "forecast_means.csv").read_bytes()
+                == (named / "forecast_means.csv").read_bytes())
+        a, b = np.load(off / "draws.npz"), np.load(named / "draws.npz")
+        for key in a.files:
+            assert np.array_equal(a[key], b[key])
 
     def test_diagnose(self, tmp_path, sim_config, fit_config, capsys):
         sim_out = tmp_path / "sim"

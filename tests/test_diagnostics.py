@@ -67,6 +67,15 @@ class TestStabilityReport:
         rep = stability_report(b1, b2, w)
         assert np.all(rep.spectral_radii <= rep.op_norms + 1e-8)
 
+    def test_sequence_of_one_is_static(self):
+        # fit_gaussian takes [w] as a static network; so does the report.
+        rng = np.random.default_rng(3)
+        w = make_w(seed=4)
+        b1, b2 = 0.4 * rng.standard_normal((2, 6))
+        static, one = stability_report(b1, b2, w), stability_report(b1, b2, [w])
+        for field in ("op_norms", "spectral_radii", "coefficient_proxy"):
+            assert np.array_equal(getattr(one, field), getattr(static, field))
+
 
 class TestStabilityCondition:
     """Spectral radii against the network stability condition: B_t =
@@ -289,6 +298,16 @@ class TestMesoReduce:
         # Residual of the reduced recursion equals the remainder term.
         resid_norms = np.linalg.norm(out["residuals"], axis=1)
         assert np.all(resid_norms <= out["remainder_bounds"] + 1e-10)
+
+    def test_sequence_of_one_is_static(self):
+        w = make_w(n=6, seed=18)
+        part = Partition(np.repeat([1, 2], 3))
+        paths = np.tile([0.1, 0.3, 0.3], (15, 1))
+        panel = gen_gaussian_panel(w, paths, 0.3, 15, seed=19)
+        static = meso_reduce(w, part, panel, paths)
+        one = meso_reduce([w], part, panel, paths)
+        for key, value in static.items():
+            assert np.array_equal(one[key], value)
 
 
 class TestDetectBreaks:

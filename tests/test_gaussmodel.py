@@ -126,6 +126,25 @@ class TestFitGaussian:
         assert set(np.unique(run.threshold_states)) <= {0, 1}
 
 
+class TestObsNoise:
+    def test_full_not_positive_definite_is_value_error(self):
+        # An input error, not a numerical failure: the CLI maps LinAlgError
+        # (a ValueError subclass) to the numerical exit code.
+        with pytest.raises(ValueError, match="positive definite") as info:
+            ObsNoise("full", -np.eye(6)).block_r(6)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("noise", [
+        ObsNoise("scalar", 0.0), ObsNoise("scalar", np.nan),
+        ObsNoise("diagonal", np.array([0.1, 0.0, 0.2])),
+        ObsNoise("diagonal", np.ones(4)), ObsNoise("full", np.eye(4)),
+        ObsNoise("dense", np.eye(3)),
+    ], ids=["zero", "nan", "diag_zero", "diag_shape", "full_shape", "kind"])
+    def test_rejected(self, noise):
+        with pytest.raises(ValueError):
+            noise.block_r(3)
+
+
 class TestSelectHyperparams:
     def test_picks_highest_loglik(self):
         w = make_w()
@@ -442,6 +461,25 @@ class TestJointNodeEdge:
                 h=h_st, r=r_st, y=np.concatenate([edge_obs[t], panel[t]])))
         assert np.max(np.abs(run.beliefs_filtered[-1].mean - belief.mean)) < 1e-9
         assert np.max(np.abs(run.beliefs_filtered[-1].cov - belief.cov)) < 1e-9
+
+    @pytest.mark.parametrize("where", ["edge_obs", "last_panel_row"])
+    def test_rejects_nonfinite(self, where):
+        # The last panel row is never a lag, and edge_obs never enters a
+        # design, so neither is checked on the way to the filter.
+        n, m_e, k_e = 4, 3, 2
+        spec = GaussianSpec(
+            recipe=DesignRecipe(),
+            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(3)),
+            edge_submodel=EdgeSubmodel(
+                loading=np.ones((m_e, k_e)), u=np.eye(m_e),
+                state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_e))))
+        panel, edge_obs = np.zeros((10, n)), np.zeros((10, m_e))
+        if where == "edge_obs":
+            edge_obs[5, 1] = np.nan
+        else:
+            panel[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_joint_node_edge(panel, edge_obs, make_w(n), spec)
 
     def test_requires_edge_submodel(self):
         with pytest.raises(ValueError, match="edge submodel"):

@@ -292,6 +292,27 @@ class TestThreshold:
             threshold_Q(np.zeros(2), np.zeros(2), spec)
 
 
+class TestTransition:
+    """StateNoiseSpec checks F when it is built, not deep in a filter."""
+
+    @pytest.mark.parametrize("spec_fn", [
+        lambda f: StateNoiseSpec(q=np.eye(3), transition=f),
+        lambda f: StateNoiseSpec(mode="threshold", q0=np.full(3, 0.1),
+                                 q1=np.ones(3), d=np.ones(3), transition=f),
+    ], ids=["constant", "threshold"])
+    def test_size_must_match_state(self, spec_fn):
+        with pytest.raises(ValueError, match="3 x 3"):
+            spec_fn(0.5 * np.eye(2))
+        with pytest.raises(ValueError, match="3 x 3"):
+            spec_fn(np.ones((3, 2)))
+
+    def test_must_be_finite(self):
+        f = 0.5 * np.eye(3)
+        f[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            StateNoiseSpec(q=np.eye(3), transition=f)
+
+
 class TestFilterRun:
     def test_beliefs_are_views_of_the_arrays(self):
         run = run_filter(*random_problem(0))

@@ -8,6 +8,7 @@ from nssm.design import DesignRecipe, build_design
 from nssm.graph import Adjacency, row_normalize
 from nssm.lgss import StateNoiseSpec
 from nssm.poissonmodel import (
+    BASELINE_ETA_CAP,
     EXPLOSION_THRESHOLD,
     ForecastEnsemble,
     PoissonSpec,
@@ -114,7 +115,6 @@ class TestStabilizerConfig:
         assert stab.phi == 0.98
         assert stab.eta_max == 12.0
         assert stab.lambda_max == 1e5
-        assert stab.enabled
 
     def test_invalid_phi(self):
         with pytest.raises(ValueError, match="phi"):
@@ -122,8 +122,24 @@ class TestStabilizerConfig:
 
     def test_disabled_constructor(self):
         stab = StabilizerConfig.disabled()
-        assert not stab.enabled
         assert stab.phi == 1.0
+        assert stab.eta_max == BASELINE_ETA_CAP
+        assert stab.lambda_max == np.inf
+
+    def test_disabled_is_its_values(self):
+        # disabled() is no switch: a stabilizer built from its three values
+        # forecasts the same counts and intensities.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        values = StabilizerConfig(phi=1.0, eta_max=BASELINE_ETA_CAP,
+                                  lambda_max=np.inf)
+        a = mc_forecast(run, spec, 4, 40, StabilizerConfig.disabled(), rng_seed=7)
+        b = mc_forecast(run, spec, 4, 40, values, rng_seed=7)
+        for ea, eb in zip(a, b):
+            assert np.array_equal(ea.counts, eb.counts)
+            assert np.array_equal(ea.intensities, eb.intensities)
 
 
 class TestMcForecast:

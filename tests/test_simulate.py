@@ -241,6 +241,10 @@ class TestGenDynamicEdges:
         dens = np.mean([a.entries.sum() / (30 * 29) for a in adjs])
         assert dens >= 0.95
 
+    def test_s_must_be_psd(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            EdgePathSpec(eta0=np.zeros(2), s_cov=np.diag([0.1, -0.1]))
+
     def test_random_walk_eta(self):
         spec = EdgePathSpec(eta0=np.zeros(2), s_cov=0.1 * np.eye(2))
         _, eta_path = gen_dynamic_edges(spec, 50, 5, seed=3)

@@ -221,6 +221,14 @@ class TestAlternatingFilter:
                      * factors.mode3[0, 0])
         assert abs(g_cp - float(belief.mean[0])) < 1e-4
 
+    def test_rejects_nonfinite(self):
+        # An input error, not a singular innovation covariance.
+        panel = simulate_cp_panel(t_len=20)
+        panel[7, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite") as info:
+            cp_filter_alternating(panel, rank=2, p=2)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_degenerate_design_warns_and_skips(self):
         panel = np.zeros((10, 3))
         with warnings.catch_warnings(record=True) as caught:
