@@ -64,28 +64,6 @@ class DesignRecipe:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    entries: np.ndarray
-    column_labels: tuple
-
-    def __post_init__(self):
-        x = np.asarray(self.entries, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("design matrix entries must be finite")
-        if x.shape[1] != len(self.column_labels):
-            raise ValueError("column label count must match design columns")
-        object.__setattr__(self, "entries", x)
-
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
 class SummaryAugment:
     """Linear network summaries s_t = S Y_t + noise with covariance V."""
 
@@ -151,11 +129,13 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
 
 
 def build_design(w: WeightMatrix, y_lags: Sequence[np.ndarray],
-                 z: Optional[np.ndarray], recipe: DesignRecipe) -> DesignMatrix:
-    """Assemble the N x K design from lagged responses and covariates.
+                 z: Optional[np.ndarray], recipe: DesignRecipe) -> np.ndarray:
+    """Assemble the N x K design from lagged responses and covariates,
+    its columns in ``recipe.column_labels()`` order.
 
     ``y_lags[l - 1]`` is the length-N response at lag l; exactly
     ``recipe.lag_order`` lags must be supplied (no implicit padding).
+    Finite inputs whose network products overflow are rejected too.
     """
     p = recipe.lag_order
     if len(y_lags) != p:
@@ -169,7 +149,9 @@ def build_design(w: WeightMatrix, y_lags: Sequence[np.ndarray],
         lags.append(y)
 
     x = np.column_stack(list(design_columns(w, lags, z, recipe)))
-    return DesignMatrix(entries=x, column_labels=tuple(recipe.column_labels()))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("design matrix entries must be finite")
+    return x
 
 
 def _w_at(w_seq, t):
@@ -212,20 +194,20 @@ def spillover_matrix(beta1: float, beta2: float, w: WeightMatrix) -> np.ndarray:
     return beta1 * w.entries + beta2 * np.eye(w.n_nodes)
 
 
-def augment_summaries(x: DesignMatrix, r: np.ndarray, aug: SummaryAugment):
-    """Stack summary pseudo-observations below the node block.
+def augment_summaries(x: np.ndarray, r: np.ndarray, aug: SummaryAugment):
+    """Stack summary pseudo-observations below the N x K node design x.
 
     Returns (H_stacked, R_stacked) with H = [X; S X] and
     R = blockdiag(R, V); node rows come first.
     """
     s = aug.s_matrix
-    if s.shape[1] != x.n_rows:
+    n, m = x.shape[0], s.shape[0]
+    if s.shape[1] != n:
         raise ValueError(
-            f"summary matrix has {s.shape[1]} columns but design has {x.n_rows} rows"
+            f"summary matrix has {s.shape[1]} columns but design has {n} rows"
         )
     r = np.asarray(r, dtype=float)
-    h_stacked = np.vstack([x.entries, s @ x.entries])
-    n, m = x.n_rows, s.shape[0]
+    h_stacked = np.vstack([x, s @ x])
     r_stacked = np.zeros((n + m, n + m))
     r_stacked[:n, :n] = r
     r_stacked[n:, n:] = aug.v_matrix

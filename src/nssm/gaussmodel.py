@@ -9,9 +9,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .design import (DesignRecipe, _w_at, _z_at, build_design, design_columns,
+from .design import (DesignRecipe, _w_at, build_design, design_columns,
                      design_stack, spillover_matrix)
-from .graph import WeightMatrix
 from .lgss import (Belief, FilterRun, StateNoiseSpec, _as_r, _state_q,
                    _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
@@ -75,34 +74,35 @@ class GaussianForecast:
     mean: np.ndarray
     cov: np.ndarray
     horizon: int
-    network_policy: str = "carry_forward"
 
 
-def _forecast_networks(last_w, horizon: int, network_policy: str, future_w):
-    """The network of each forecast horizon 1..horizon under a policy."""
-    if network_policy == "carry_forward":
-        return [last_w] * horizon
-    if network_policy in ("oracle", "user_supplied"):
-        if future_w is None or len(future_w) < horizon:
-            raise ValueError(
-                f"network_policy={network_policy!r} requires future_w for "
-                f"all {horizon} horizons"
-            )
-        return list(future_w[:horizon])
-    raise ValueError(f"unknown network policy {network_policy!r}")
+def _horizon_inputs(run: FilterRun, recipe: DesignRecipe, horizon: int,
+                    future_w, future_z) -> list:
+    """The (W, z) of each forecast horizon 1..horizon.
 
-
-def _forecast_covariates(recipe: DesignRecipe, horizon: int, future_z):
-    """The covariates of each forecast horizon 1..horizon (None when the
-    recipe has no covariate columns)."""
+    W comes from ``future_w`` when it is given, which then needs a network
+    for every horizon; otherwise the last fitted network is carried
+    forward. z comes from ``future_z``, which a recipe with covariate
+    columns requires; it is None when the recipe has none.
+    """
+    if future_w is None:
+        ctx = run.context
+        networks = [_w_at(ctx["w_seq"], ctx["obs_times"][-1])] * horizon
+    elif len(future_w) < horizon:
+        raise ValueError(f"future_w must hold a network for each of the "
+                         f"{horizon} horizons, got {len(future_w)}")
+    else:
+        networks = future_w
     if recipe.covariate_count == 0:
-        return [None] * horizon
-    if future_z is None or len(future_z) < horizon:
+        covariates = [None] * horizon
+    elif future_z is None or len(future_z) < horizon:
         raise ValueError(
             f"recipe includes covariates; future_z required for all "
             f"{horizon} horizons"
         )
-    return [np.asarray(future_z[h], dtype=float) for h in range(horizon)]
+    else:
+        covariates = [np.asarray(future_z[h], dtype=float) for h in range(horizon)]
+    return list(zip(networks, covariates))
 
 
 # Draws per slab when the linear predictor is accumulated: the temporaries
@@ -111,8 +111,8 @@ _DRAW_SLAB = 64
 
 
 def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
-                    state_noise: StateNoiseSpec, n_draws: int, rng_seed: int,
-                    networks, covariates, observe,
+                    state_noise: StateNoiseSpec, horizon: int, n_draws: int,
+                    rng_seed: int, future_w, future_z, observe,
                     phi: float = 1.0) -> np.ndarray:
     """Monte-Carlo forecast paths of all ``n_draws`` draws, advanced together.
 
@@ -123,8 +123,8 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     ``blocks[h - 1]`` of the returned H x S x N array; no S x N x K design
     is formed. ``observe(h - 1, block, rng)`` turns the block in place
     into the horizon's output and returns the S x N observations that
-    become the newest lag. ``networks[h - 1]`` and ``covariates[h - 1]``
-    are the W and z of horizon h; their length is the horizon count H.
+    become the newest lag. The W and z of each horizon are those of
+    ``_horizon_inputs``.
 
     The random streams are keyed by what they draw, not by draw:
     ``default_rng([rng_seed, 0, 1])`` draws the initial S x K block, and
@@ -137,6 +137,7 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     whatever ``n_draws``, and horizon h's blocks are the same whatever H:
     draw s's path up to h does not depend on either.
     """
+    inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
     ctx = run.context
     panel = ctx["panel"]
     t_last = ctx["obs_times"][-1]
@@ -153,8 +154,8 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     # Until the first draw is fed back, a lag is one length-N vector that
     # broadcasts against the S x N blocks.
     lags = [panel[t_last - l + 1] for l in range(1, recipe.lag_order + 1)]
-    blocks = np.empty((len(networks), n_draws, panel.shape[1]))
-    for h, (w_h, z_h) in enumerate(zip(networks, covariates)):
+    blocks = np.empty((horizon, n_draws, panel.shape[1]))
+    for h, (w_h, z_h) in enumerate(inputs):
         if f is not None:
             theta = theta @ f.T
         noise = stream(h + 1, 1).standard_normal((n_draws, k)) @ q_chol.T
@@ -251,7 +252,6 @@ def _closed_form_supported(recipe: DesignRecipe) -> bool:
 
 
 def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
-                      network_policy: str = "carry_forward",
                       future_w=None, future_z=None) -> List[GaussianForecast]:
     """Iterated h-step forecasts from the final filtered belief.
 
@@ -259,6 +259,11 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     built from the filtered coefficient means; the covariance propagates
     observation noise, coefficient uncertainty, and the chained
     linearization of past forecast uncertainty. Exact at h = 1.
+    ``future_w``, if given, holds the network of each horizon (an oracle
+    path, or an approximate network: ``future_w=[w_hat]`` at h = 1 is the
+    plug-in forecast under w_hat); otherwise the last fitted network is
+    carried forward. ``future_z`` holds the covariates of each horizon; a
+    recipe with covariate columns requires it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -268,7 +273,7 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
             "network power 1; use the Monte-Carlo mode for other recipes"
         )
     ctx = run.context
-    panel, w_seq, z = ctx["panel"], ctx["w_seq"], ctx["z"]
+    panel = ctx["panel"]
     t_last = ctx["obs_times"][-1]
     n = panel.shape[1]
 
@@ -278,25 +283,22 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     r_mat = spec.obs_noise.matrix(n)
     i_net, i_own = _beta_indices(spec.recipe)
 
-    networks = _forecast_networks(_w_at(w_seq, t_last), horizon,
-                                  network_policy, future_w)
-    covariates = _forecast_covariates(spec.recipe, horizon, future_z)
+    inputs = _horizon_inputs(run, spec.recipe, horizon, future_w, future_z)
     y_prev = panel[t_last]
     sigma_prev = np.zeros((n, n))
     forecasts = []
-    for k, (w_k, z_k) in enumerate(zip(networks, covariates), start=1):
+    for k, (w_k, z_k) in enumerate(inputs, start=1):
         # The coefficients step as in the filter's prediction: mean F m and
         # variance F P F' + Q, so P + h Q at horizon h when F is None.
         m, p_state = _time_update(m, p_state, q_mat, f)
-        x_k = build_design(w_k, [y_prev], z_k, spec.recipe).entries
+        x_k = build_design(w_k, [y_prev], z_k, spec.recipe)
         mean_k = x_k @ m
         beta1 = m[i_net] if i_net is not None else 0.0
         beta2 = m[i_own] if i_own is not None else 0.0
         b_hat = spillover_matrix(float(beta1), float(beta2), w_k)
         cov_k = x_k @ p_state @ x_k.T + r_mat + b_hat @ sigma_prev @ b_hat.T
         cov_k = 0.5 * (cov_k + cov_k.T)
-        forecasts.append(GaussianForecast(mean=mean_k, cov=cov_k, horizon=k,
-                                          network_policy=network_policy))
+        forecasts.append(GaussianForecast(mean=mean_k, cov=cov_k, horizon=k))
         y_prev = mean_k
         sigma_prev = cov_k
     return forecasts
@@ -304,7 +306,6 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
 
 def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
                          n_draws: int, rng_seed: int,
-                         network_policy: str = "carry_forward",
                          future_w=None, future_z=None) -> List[dict]:
     """Monte-Carlo reference forecasts: sample coefficient paths and
     innovations through the recursion; returns per-horizon draw matrices.
@@ -313,41 +314,20 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     noise is one ``standard_normal`` block through chol(R), drawn from
     that horizon's observation stream (see ``_simulate_draws``). Draw s
     does not depend on ``n_draws``, nor its path up to h on ``horizon``.
+    ``future_w`` and ``future_z`` are as in ``forecast_gaussian``.
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
-    ctx = run.context
-    networks = _forecast_networks(_w_at(ctx["w_seq"], ctx["obs_times"][-1]),
-                                  horizon, network_policy, future_w)
-    covariates = _forecast_covariates(spec.recipe, horizon, future_z)
-    r_chol = np.linalg.cholesky(spec.obs_noise.matrix(ctx["panel"].shape[1]))
+    r_chol = np.linalg.cholesky(
+        spec.obs_noise.matrix(run.context["panel"].shape[1]))
 
     def observe(h, block, rng):
         block += rng.standard_normal(block.shape) @ r_chol.T
         return block
 
-    draws = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
-                            rng_seed, networks, covariates, observe)
+    draws = _simulate_draws(run, spec.recipe, spec.state_noise, horizon,
+                            n_draws, rng_seed, future_w, future_z, observe)
     return [{"horizon": k + 1, "draws": draws[k]} for k in range(horizon)]
-
-
-def plug_in_forecast(run: FilterRun, spec: GaussianSpec,
-                     w_hat: WeightMatrix) -> GaussianForecast:
-    """One-step mean with the approximate network substituted in the
-    network-lag column only; coefficient predictions unchanged."""
-    ctx = run.context
-    panel, w_seq = ctx["panel"], ctx["w_seq"]
-    t_last = ctx["obs_times"][-1]
-    n = panel.shape[1]
-    q_mat, _ = _state_q(spec.state_noise, run.means[-2:], run.means.shape[1])
-    m, p = _time_update(run.means[-1], run.covs[-1], q_mat,
-                        spec.state_noise.transition)
-    z_last = _z_at(ctx["z"], t_last)
-    x_hat = build_design(w_hat, [panel[t_last]], z_last, spec.recipe).entries
-    mean = x_hat @ m
-    cov = x_hat @ p @ x_hat.T + spec.obs_noise.matrix(n)
-    return GaussianForecast(mean=mean, cov=0.5 * (cov + cov.T), horizon=1,
-                            network_policy="user_supplied")
 
 
 def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,

@@ -143,12 +143,8 @@ class InvariantVector:
 
 def row_normalize(adj: Adjacency) -> WeightMatrix:
     """Divide each row by its out-degree; rows with zero degree become zero."""
-    a = adj.entries
-    deg = a.sum(axis=1)
-    w = np.zeros_like(a)
-    nz = deg > 0
-    w[nz] = a[nz] / deg[nz, None]
-    return WeightMatrix(w, provenance=Provenance.ROW_NORMALIZED)
+    return WeightMatrix(_renormalize_rows(adj.entries),
+                        provenance=Provenance.ROW_NORMALIZED)
 
 
 def operator_norm(m: np.ndarray) -> float:

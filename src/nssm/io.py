@@ -6,11 +6,13 @@ import csv
 import hashlib
 import json
 import platform
+from importlib import metadata
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .graph import WeightMatrix
 
 
@@ -73,6 +75,8 @@ def write_manifest(out_dir, config: dict, seed: int, inputs: Sequence = (),
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": metadata.version("scipy"),
+            "nssm": __version__,
         },
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }

@@ -123,13 +123,16 @@ class StateNoiseSpec:
 
 def _as_r(r) -> np.ndarray:
     """Observation noise as a variance vector or a matrix, checked
-    positive definite."""
+    positive definite; a matrix must also be symmetric, since the Cholesky
+    check reads only its lower triangle."""
     r = np.asarray(r, dtype=float)
     if r.ndim == 1:
         if not np.all(np.isfinite(r) & (r > 0)):
             raise ValueError("observation noise R must be positive definite")
         return r
     r = np.atleast_2d(r)
+    if r.shape[0] != r.shape[1] or not np.max(np.abs(r - r.T)) <= _SYM_TOL:
+        raise ValueError("observation noise R must be symmetric")
     try:
         np.linalg.cholesky(r)
     except np.linalg.LinAlgError as exc:

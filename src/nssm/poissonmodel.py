@@ -9,9 +9,8 @@ from typing import List, Optional
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .design import DesignRecipe, _w_at
-from .gaussmodel import (_fit_panel, _forecast_covariates, _forecast_networks,
-                         _simulate_draws)
+from .design import DesignRecipe
+from .gaussmodel import _fit_panel, _simulate_draws
 from .lgss import Belief, FilterRun, StateNoiseSpec
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .design import build_design
@@ -49,7 +48,9 @@ class StabilizerConfig:
     def __post_init__(self):
         if not 0.0 < self.phi <= 1.0:
             raise ValueError("phi must be in (0, 1]")
-        if self.lambda_max <= 0:
+        if not self.eta_max > 0:
+            raise ValueError("eta_max must be positive")
+        if not self.lambda_max > 0:
             raise ValueError("lambda_max must be positive")
 
     @classmethod
@@ -131,13 +132,6 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
-    ctx = run.context
-    last_w = _w_at(ctx["w_seq"], ctx["obs_times"][-1])
-    networks = _forecast_networks(
-        last_w, horizon,
-        "carry_forward" if future_w is None else "user_supplied", future_w)
-    covariates = _forecast_covariates(spec.recipe, horizon, future_z)
-
     counts = []
 
     def observe(h, block, rng):
@@ -147,8 +141,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
         counts.append(rng.poisson(block))
         return counts[-1]
 
-    intensities = _simulate_draws(run, spec.recipe, spec.state_noise, n_draws,
-                                  rng_seed, networks, covariates,
+    intensities = _simulate_draws(run, spec.recipe, spec.state_noise, horizon,
+                                  n_draws, rng_seed, future_w, future_z,
                                   observe, phi=stab.phi)
     return [
         ForecastEnsemble(horizon=h + 1, intensities=intensities[h],

@@ -323,7 +323,7 @@ def fit_gaussian_per_step(panel, w_seq, z, spec):
             s_states.append(s_t)
         belief = predict(belief, q_t, f=spec.state_noise.transition, time_index=t)
         predicted.append(belief)
-        belief, ll = update(belief, ObsBlock(h=x_t.entries, r=r, y=panel[t]))
+        belief, ll = update(belief, ObsBlock(h=x_t, r=r, y=panel[t]))
         filtered.append(belief)
         per_step.append(ll)
     return _per_step_run(filtered, predicted, per_step, s_states)
@@ -341,7 +341,7 @@ def fit_poisson_per_step(panel, w_seq, spec, z=None):
     for t in range(p, t_len):
         lags = [panel[t - l] for l in range(1, p + 1)]
         x_t = build_design(_w_at_t(w_seq, t), lags, _z_at_t(z, t),
-                           spec.recipe).entries
+                           spec.recipe)
         q_t, s_t = _threshold_q(spec.state_noise, filtered, k)
         if s_states is not None:
             s_states.append(s_t)
@@ -389,7 +389,7 @@ def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, design_fn=None):
         if design_fn is not None:
             x_t = np.asarray(design_fn(t, lags, edge_obs[t]), dtype=float)
         else:
-            x_t = build_design(_w_at_t(w_seq, t), lags, None, spec.recipe).entries
+            x_t = build_design(_w_at_t(w_seq, t), lags, None, spec.recipe)
         belief, ll_e, ll_n = two_block_update(
             belief, ObsBlock(h=h_edge, r=edge.u, y=edge_obs[t], label="edge"),
             ObsBlock(h=np.hstack([x_t, np.zeros((n, k_e))]), r=r_node,

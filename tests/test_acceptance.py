@@ -30,7 +30,6 @@ from nssm.gaussmodel import (
     ObsNoise,
     fit_gaussian,
     forecast_gaussian,
-    plug_in_forecast,
 )
 from nssm.graph import Adjacency, Partition, WeightMatrix, invariant_vector, \
     perturb, row_normalize
@@ -226,6 +225,11 @@ def test_criterion_04_aggregation_identities(report):
            f"scalar {scalar_err:.2e}, meso {meso_err:.2e}, bounds {bound_ok}")
 
 
+def plug_in(run, spec, w_hat):
+    """One-step forecast mean under the approximate network w_hat."""
+    return forecast_gaussian(run, spec, 1, future_w=[w_hat])[0].mean
+
+
 def test_criterion_05_plug_in_sensitivity(report):
     rng = np.random.default_rng(5)
     sigma2 = 0.25
@@ -241,14 +245,14 @@ def test_criterion_05_plug_in_sensitivity(report):
         panel = gen_gaussian_panel(w, paths, sigma2, t_len,
                                    seed=600 + run_idx)
         run = fit_gaussian(panel, w, None, spec)
-        base = plug_in_forecast(run, spec, w).mean
+        base = plug_in(run, spec, w)
         b1 = float(run.beliefs_filtered[-1].mean[1])
         y_norm = float(np.linalg.norm(panel[-1]))
         for d in range(500):
             alpha = rng.uniform(0.02, 0.6)
             w_hat = perturb(w, "mix_uniform", rng_seed=run_idx * 1000 + d,
                             alpha=alpha)
-            approx = plug_in_forecast(run, spec, w_hat).mean
+            approx = plug_in(run, spec, w_hat)
             delta_w = float(np.linalg.norm(w_hat.entries - w.entries, 2))
             lhs = float(np.sum((approx - base) ** 2))
             rhs = b1 ** 2 * delta_w ** 2 * y_norm ** 2
@@ -259,12 +263,11 @@ def test_criterion_05_plug_in_sensitivity(report):
     w = random_w(n, 999, avg_degree=8.0)
     panel = gen_gaussian_panel(w, paths, sigma2, t_len, seed=999)
     run = fit_gaussian(panel, w, None, spec)
-    base = plug_in_forecast(run, spec, w).mean
+    base = plug_in(run, spec, w)
     curve = []
     for alpha in np.linspace(0.05, 0.95, 10):
-        approx = plug_in_forecast(
-            run, spec, perturb(w, "mix_uniform", rng_seed=7, alpha=float(alpha))
-        ).mean
+        approx = plug_in(
+            run, spec, perturb(w, "mix_uniform", rng_seed=7, alpha=float(alpha)))
         curve.append(float(np.sum((approx - base) ** 2)))
     monotone = all(curve[i] < curve[i + 1] for i in range(9))
     ok = violations == 0 and total == 10_000 and monotone
@@ -289,7 +292,7 @@ def test_criterion_06_filter_rate(report):
         run = fit_gaussian(panel, w, None, spec)
         kappas, traces = [], []
         for idx, t in enumerate(run.context["obs_times"]):
-            x = build_design(w, [panel[t - 1]], None, rec).entries
+            x = build_design(w, [panel[t - 1]], None, rec)
             kappas.append(float(np.linalg.eigvalsh(
                 x.T @ x / (n * r_var)).min()))
             traces.append(float(np.trace(run.beliefs_filtered[idx].cov)))
@@ -488,7 +491,7 @@ def _plugin_ls_h1(run, recipe, panel, w, origins):
     tot = []
     for t in origins:
         b = run.beliefs_filtered[obs.index(t)]
-        x = build_design(w, [panel[t]], None, recipe).entries
+        x = build_design(w, [panel[t]], None, recipe)
         lam = np.clip(np.exp(np.clip(x @ b.mean, -20.0, 20.0)), 1e-8, None)
         tot.append(score("poisson_ls", lam, panel[t + 1]))
     return float(np.mean(tot))

@@ -105,7 +105,8 @@ class TestPipeline:
         assert manifest["seed"] == 3
         panel_path = str(sim_out / "panel.csv")
         assert manifest["inputs"][panel_path] == sha256_file(panel_path)
-        assert "numpy" in manifest["versions"]
+        assert manifest["versions"]["nssm"] == nssm.__version__
+        assert {"python", "numpy", "scipy"} <= set(manifest["versions"])
 
     def test_forecast_gaussian(self, tmp_path, sim_config, fit_config):
         sim_out = tmp_path / "sim"
@@ -265,6 +266,17 @@ class TestConfigErrors:
         assert code == 2
         assert "sigma2" in json.loads(capsys.readouterr().err)["message"]
 
+
+    def test_negative_eta_max_exit_2(self, tmp_path, capsys, poisson_sim):
+        cfg = write_json(tmp_path / "c.json",
+                         {"model": "poisson", "p": 1, "horizon": 2, "S": 10,
+                          "stabilizer": {"eta_max": -1}})
+        code = run_cli(["forecast", "--config", cfg,
+                        "--out", str(tmp_path / "o"), "--seed", "0",
+                        "--panel", str(poisson_sim / "panel.csv"),
+                        "--weight", str(poisson_sim / "weight.csv")])
+        assert code == 2
+        assert "eta_max" in json.loads(capsys.readouterr().err)["message"]
 
     def test_origin_before_first_observation_exit_2(self, tmp_path, capsys,
                                                    sim_config):

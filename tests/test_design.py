@@ -46,16 +46,16 @@ class TestBuildDesign:
         w = simple_w()
         y1 = np.arange(4.0)
         x = build_design(w, [y1], None, DesignRecipe())
-        assert np.allclose(x.entries[:, 0], 1.0)
-        assert np.allclose(x.entries[:, 1], w.entries @ y1)
-        assert np.allclose(x.entries[:, 2], y1)
+        assert np.allclose(x[:, 0], 1.0)
+        assert np.allclose(x[:, 1], w.entries @ y1)
+        assert np.allclose(x[:, 2], y1)
 
     def test_network_power_column(self):
         w = simple_w()
         y1 = np.ones(4)
         r = DesignRecipe(network_powers=(2,))
         x = build_design(w, [y1], None, r)
-        assert np.allclose(x.entries[:, 1],
+        assert np.allclose(x[:, 1],
                            np.linalg.matrix_power(w.entries, 2) @ y1)
 
     def test_lag_count_enforced(self):
@@ -87,6 +87,13 @@ class TestBuildDesign:
         with pytest.raises(ValueError, match="finite"):
             build_design(w, [np.array([1.0, np.inf, 0, 0])], None, DesignRecipe())
 
+    def test_overflow_rejected(self):
+        # Finite inputs whose network product overflows: the assembled
+        # design is checked as well as the lags.
+        w = WeightMatrix(np.full((4, 4), 10.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            build_design(w, [np.full(4, 1e308)], None, DesignRecipe())
+
     def test_one_step_mean_identity(self):
         # X_t theta with theta = (b0, b1, b2) equals the model recursion mean.
         w = simple_w(seed=3)
@@ -95,7 +102,7 @@ class TestBuildDesign:
         theta = np.array([0.2, 0.5, -0.3])
         x = build_design(w, [y1], None, DesignRecipe())
         direct = 0.2 + 0.5 * (w.entries @ y1) - 0.3 * y1
-        assert np.allclose(x.entries @ theta, direct, atol=1e-14)
+        assert np.allclose(x @ theta, direct, atol=1e-14)
 
 
 class TestSpillover:
@@ -119,8 +126,8 @@ class TestSummaryAugment:
         r = np.eye(4)
         h_st, r_st = augment_summaries(x, r, aug)
         assert h_st.shape == (5, 3)
-        assert np.allclose(h_st[:4], x.entries)
-        assert np.allclose(h_st[4], s @ x.entries)
+        assert np.allclose(h_st[:4], x)
+        assert np.allclose(h_st[4], s @ x)
         assert np.allclose(r_st[:4, :4], r)
         assert r_st[4, 4] == 0.5
         assert np.all(r_st[:4, 4] == 0)

@@ -12,7 +12,6 @@ from nssm.gaussmodel import (
     fit_joint_node_edge,
     forecast_gaussian,
     mc_forecast_gaussian,
-    plug_in_forecast,
     select_hyperparams,
 )
 from nssm.graph import Adjacency, row_normalize
@@ -60,7 +59,7 @@ class TestFitGaussian:
 
         belief = spec.initial_belief()
         for t in range(1, panel.shape[0]):
-            x_t = build_design(w, [panel[t - 1]], None, spec.recipe).entries
+            x_t = build_design(w, [panel[t - 1]], None, spec.recipe)
             belief = predict(belief, spec.state_noise.q)
             belief, _ = update(belief, ObsBlock(h=x_t, r=0.25 * np.eye(6),
                                                 y=panel[t]))
@@ -76,7 +75,7 @@ class TestFitGaussian:
         t_len = 120
         panel = np.zeros((t_len, 30))
         for t in range(1, t_len):
-            x = build_design(w, [panel[t - 1]], None, DesignRecipe()).entries
+            x = build_design(w, [panel[t - 1]], None, DesignRecipe())
             panel[t] = x @ theta + 0.3 * rng.standard_normal(30)
         run = fit_gaussian(panel, w, None, default_spec(q=1e-6, sigma2=0.09))
         assert np.max(np.abs(run.beliefs_filtered[-1].mean - theta)) < 0.05
@@ -139,7 +138,11 @@ class TestObsNoise:
         ObsNoise("diagonal", np.array([0.1, 0.0, 0.2])),
         ObsNoise("diagonal", np.ones(4)), ObsNoise("full", np.eye(4)),
         ObsNoise("dense", np.eye(3)),
-    ], ids=["zero", "nan", "diag_zero", "diag_shape", "full_shape", "kind"])
+        # Lower triangle positive definite, but the symmetric part the
+        # filter uses has eigenvalues -1.5, 1 and 3.5.
+        ObsNoise("full", [[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ], ids=["zero", "nan", "diag_zero", "diag_shape", "full_shape", "kind",
+            "full_asymmetric"])
     def test_rejected(self, noise):
         with pytest.raises(ValueError):
             noise.block_r(3)
@@ -188,7 +191,7 @@ class TestForecastGaussian:
         run = fit_gaussian(panel, w, None, spec)
         fc = forecast_gaussian(run, spec, 1)[0]
         belief = run.beliefs_filtered[-1]
-        x = build_design(w, [panel[-1]], None, spec.recipe).entries
+        x = build_design(w, [panel[-1]], None, spec.recipe)
         assert np.allclose(fc.mean, x @ belief.mean, atol=1e-12)
         # theta_{T+1} = theta_T + eta has variance P + Q.
         p_pred = belief.cov + spec.state_noise.q
@@ -226,7 +229,7 @@ class TestForecastGaussian:
         se = draws.std(axis=0) / np.sqrt(20_000)
         assert np.max(np.abs(fc.mean - draws.mean(axis=0)) / se) < 4.0
         assert np.allclose(np.diag(fc.cov), draws.var(axis=0), rtol=0.05)
-        x = build_design(w, [panel[-1]], None, spec.recipe).entries
+        x = build_design(w, [panel[-1]], None, spec.recipe)
         assert np.allclose(fc.mean, x @ (0.5 * run.means[-1]), atol=1e-12)
 
     def test_multi_step_matches_mc(self):
@@ -253,13 +256,13 @@ class TestForecastGaussian:
         with pytest.raises(ValueError, match="Monte-Carlo"):
             forecast_gaussian(run, spec, 2)
 
-    def test_oracle_policy_requires_future_w(self):
+    def test_future_w_required_for_every_horizon(self):
         w = make_w()
         panel, _ = simulate_panel(w, t_len=20)
         spec = default_spec()
         run = fit_gaussian(panel, w, None, spec)
         with pytest.raises(ValueError, match="future_w"):
-            forecast_gaussian(run, spec, 2, network_policy="oracle")
+            forecast_gaussian(run, spec, 3, future_w=[w, w])
 
     def test_mc_deterministic_per_seed(self):
         w = make_w()
@@ -318,8 +321,7 @@ class TestMcForecastGaussian:
         future_w = [make_w(seed=20 + h) for h in range(3)]
         future_z = rng.standard_normal((3, 6, 2))
         got = mc_forecast_gaussian(run, spec, 3, 15, rng_seed=1,
-                                   network_policy="oracle", future_w=future_w,
-                                   future_z=future_z)
+                                   future_w=future_w, future_z=future_z)
         want = oracles.mc_forecast_gaussian_per_draw(
             run, spec, 3, 15, 1, future_w=future_w, future_z=future_z)
         self.assert_close(got, want)
@@ -344,6 +346,14 @@ class TestMcForecastGaussian:
         for ds, dl in zip(short, long):
             assert np.array_equal(ds["draws"], dl["draws"])
 
+    def test_future_w_required_for_every_horizon(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=20)
+        spec = default_spec()
+        run = fit_gaussian(panel, w, None, spec)
+        with pytest.raises(ValueError, match="future_w"):
+            mc_forecast_gaussian(run, spec, 3, 5, rng_seed=0, future_w=[w, w])
+
     def test_transition_matches_per_draw_oracle(self):
         w = make_w()
         panel, _ = simulate_panel(w, t_len=30)
@@ -356,37 +366,22 @@ class TestMcForecastGaussian:
         want = oracles.mc_forecast_gaussian_per_draw(run, spec, 4, 70, 6)
         self.assert_close(got, want)
 
-    def test_unknown_policy_rejected(self):
-        w = make_w()
-        panel, _ = simulate_panel(w, t_len=20)
-        spec = default_spec()
-        run = fit_gaussian(panel, w, None, spec)
-        with pytest.raises(ValueError, match="unknown network policy"):
-            mc_forecast_gaussian(run, spec, 2, 5, rng_seed=0,
-                                 network_policy="carry_forwards", future_w=[w, w])
-
-    @pytest.mark.parametrize("policy", ["oracle", "user_supplied"])
-    def test_policy_requires_future_w_for_every_horizon(self, policy):
-        w = make_w()
-        panel, _ = simulate_panel(w, t_len=20)
-        spec = default_spec()
-        run = fit_gaussian(panel, w, None, spec)
-        with pytest.raises(ValueError, match="future_w"):
-            mc_forecast_gaussian(run, spec, 2, 5, rng_seed=0,
-                                 network_policy=policy)
-        with pytest.raises(ValueError, match="future_w"):
-            mc_forecast_gaussian(run, spec, 3, 5, rng_seed=0,
-                                 network_policy=policy, future_w=[w, w])
-
 
 class TestPlugInForecast:
+    """The plug-in forecast under an approximate network w_hat is the h = 1
+    forecast with ``future_w=[w_hat]``."""
+
+    @staticmethod
+    def plug_in(run, spec, w_hat):
+        return forecast_gaussian(run, spec, 1, future_w=[w_hat])[0]
+
     def test_identical_network_matches_h1(self):
         w = make_w()
         panel, _ = simulate_panel(w, t_len=30)
         spec = default_spec()
         run = fit_gaussian(panel, w, None, spec)
         exact = forecast_gaussian(run, spec, 1)[0]
-        plug = plug_in_forecast(run, spec, w)
+        plug = self.plug_in(run, spec, w)
         assert np.allclose(plug.mean, exact.mean, atol=1e-12)
         assert np.allclose(plug.cov, exact.cov, atol=1e-12)
 
@@ -399,8 +394,8 @@ class TestPlugInForecast:
                                        transition=F_ASYM))
         run = fit_gaussian(panel, w, None, spec)
         exact = forecast_gaussian(run, spec, 1)[0]
-        plug = plug_in_forecast(run, spec, w)
-        x = build_design(w, [panel[-1]], None, spec.recipe).entries
+        plug = self.plug_in(run, spec, w)
+        x = build_design(w, [panel[-1]], None, spec.recipe)
         p = F_ASYM @ run.covs[-1] @ F_ASYM.T + 1e-3 * np.eye(3)
         assert np.allclose(plug.mean, x @ F_ASYM @ run.means[-1], atol=1e-12)
         assert np.allclose(plug.cov, x @ p @ x.T + 0.25 * np.eye(6), atol=1e-12)
@@ -413,7 +408,7 @@ class TestPlugInForecast:
         panel, _ = simulate_panel(w, t_len=30)
         spec = default_spec()
         run = fit_gaussian(panel, w, None, spec)
-        gap = (plug_in_forecast(run, spec, w_hat).mean
+        gap = (self.plug_in(run, spec, w_hat).mean
                - forecast_gaussian(run, spec, 1)[0].mean)
         beta1 = run.beliefs_filtered[-1].mean[1]
         expected = beta1 * (w_hat.entries - w.entries) @ panel[-1]
@@ -449,7 +444,7 @@ class TestJointNodeEdge:
         q_joint = 1e-3 * np.eye(dim)
         for t in range(1, t_len):
             belief = predict(belief, q_joint)
-            x_t = build_design(w, [panel[t - 1]], None, recipe).entries
+            x_t = build_design(w, [panel[t - 1]], None, recipe)
             h_st = np.vstack([
                 np.hstack([np.zeros((m_e, k_n)), loading]),
                 np.hstack([x_t, np.zeros((n, k_e))]),

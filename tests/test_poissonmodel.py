@@ -120,6 +120,14 @@ class TestStabilizerConfig:
         with pytest.raises(ValueError, match="phi"):
             StabilizerConfig(phi=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("eta_max", -1.0), ("eta_max", 0.0), ("eta_max", np.nan),
+        ("lambda_max", 0.0), ("lambda_max", np.nan),
+    ])
+    def test_caps_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            StabilizerConfig(**{field: value})
+
     def test_disabled_constructor(self):
         stab = StabilizerConfig.disabled()
         assert stab.phi == 1.0
