@@ -12,7 +12,7 @@ import numpy as np
 from .design import (DesignRecipe, _w_at, build_design, design_columns,
                      design_stack, spillover_matrix)
 from .lgss import (Belief, FilterRun, StateNoiseSpec, _as_r, _state_q,
-                   _time_update, run_filter)
+                   _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -182,19 +182,22 @@ def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:
     panel = np.asarray(panel, dtype=float)
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains non-finite values")
-    return _fit_panel(panel, w_seq, z, spec, spec.obs_noise.block_r(panel.shape[1]))
+    r = spec.obs_noise.block_r(panel.shape[1])
+    return _fit_panel(panel, w_seq, z, spec,
+                      lambda x_t, m, p, y_t: _step(m, p, x_t, r, y_t))
 
 
-def _fit_panel(panel, w_seq, z, spec, r, linearize=None) -> FilterRun:
+def _fit_panel(panel, w_seq, z, spec, update) -> FilterRun:
     """``run_filter`` of a panel on its designs from t = p on, with the
-    context the forecasters read; shared by fit_gaussian and fit_poisson."""
+    context the forecasters read; shared by fit_gaussian and fit_poisson.
+    ``update(X_t, m, P, y_t) -> (m, P, loglik)`` is the measurement step."""
     t_len, p = panel.shape[0], spec.recipe.lag_order
     if t_len < p + 1:
         raise ValueError(f"panel needs at least p + 1 = {p + 1} rows")
     init = spec.initial_belief()
-    run = run_filter(init.mean, init.cov,
-                     [(design_stack(w_seq, panel, z, spec.recipe), r, panel[p:])],
-                     spec.state_noise, linearize=linearize, t0=p)
+    x, y = design_stack(w_seq, panel, z, spec.recipe), panel[p:]
+    run = run_filter(init.mean, init.cov, t_len - p, spec.state_noise,
+                     lambda i, m, cov: update(x[i], m, cov, y[i]), t0=p)
     run.context = {"panel": panel, "w_seq": w_seq, "z": z, "spec": spec,
                    "obs_times": list(range(p, t_len))}
     return run
@@ -381,10 +384,16 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
                                 edge_obs[t]) for t in range(p, t_len)], dtype=float)
     h_node = np.concatenate([x, np.zeros((t_len - p, n, k_e))], axis=2)
     h_edge = np.hstack([np.zeros((m_e, k_n)), loading])
-    run = run_filter(mean0, spec.p0_scale * np.eye(dim),
-                     [(h_edge, edge.u, edge_obs[p:]),
-                      (h_node, spec.obs_noise.block_r(n), panel[p:])],
-                     StateNoiseSpec(q=q_joint, transition=f_joint), t0=p)
+    u, r_node = _as_r(edge.u), spec.obs_noise.block_r(n)
+
+    def edge_then_node(i, m, cov):
+        m, cov, ll_edge = _step(m, cov, h_edge, u, edge_obs[p + i])
+        m, cov, ll_node = _step(m, cov, h_node[i], r_node, panel[p + i])
+        return m, cov, ll_edge + ll_node
+
+    run = run_filter(mean0, spec.p0_scale * np.eye(dim), t_len - p,
+                     StateNoiseSpec(q=q_joint, transition=f_joint),
+                     edge_then_node, t0=p)
     run.context = {"panel": panel, "w_seq": w_seq, "z": None, "spec": spec,
                    "obs_times": list(range(p, t_len))}
     return run

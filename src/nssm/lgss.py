@@ -1,14 +1,14 @@
 """Exact linear-Gaussian state-space engine.
 
-One filter kernel, ``run_filter``, serves every panel model: the Gaussian
-network TVP-VAR (one observation block per step), the Poisson DGLM (one
-block through a pseudo-observation rule) and the joint node-edge model
-(an edge block, then a node block). It keeps the state in arrays and
-validates its inputs once, not at every step. Its array steps, the
-prediction ``_time_update`` and the measurement update ``_step``, also
-run under the CP filter's sweep. The public ``predict`` and ``update``
-take one step on validated ``Belief`` and ``ObsBlock`` objects;
-``update`` wraps ``_step``. Also: RTS smoothing, the innovations
+One filter kernel, ``run_filter``, serves all four models. It predicts
+with ``_time_update``, stores the moments in arrays and calls the model's
+measurement step, which is all a model passes in: one ``_step`` for the
+Gaussian network TVP-VAR, a pseudo-observation ``_step`` for the Poisson
+DGLM, an edge then a node ``_step`` for the joint node-edge model, and
+the sweep of conditional ``_step``s for the CP tensor state. The public
+``predict`` and ``update`` take one step on validated ``Belief`` and
+``ObsBlock`` objects; ``update`` wraps ``_step``. Also: RTS smoothing
+(which predicts through ``_time_update`` too), the innovations
 log-likelihood and the threshold-driven state-noise rule.
 """
 
@@ -36,6 +36,8 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
 
 
 def _check_psd(p: np.ndarray, what: str):
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"{what} must be finite")
     eig_min = float(np.linalg.eigvalsh(p).min())
     if eig_min < -_SYM_TOL:
         raise ValueError(f"{what} has negative eigenvalue {eig_min:.3e}")
@@ -54,6 +56,8 @@ class Belief:
         p = _symmetrize(np.asarray(self.cov, dtype=float))
         if p.shape != (m.shape[0], m.shape[0]):
             raise ValueError("cov shape must match mean length")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("belief mean must be finite")
         _check_psd(p, "belief covariance")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", p)
@@ -94,7 +98,7 @@ class StateNoiseSpec:
             d = np.asarray(self.d, dtype=float)
             if not (q0.shape == q1.shape == d.shape):
                 raise ValueError("q0, q1, d must have equal shapes")
-            if np.any(q0 <= 0) or np.any(q1 <= 0) or np.any(d <= 0):
+            if not (np.all(q0 > 0) and np.all(q1 > 0) and np.all(d > 0)):
                 raise ValueError("q0, q1, d must be positive")
             if np.any(q0 >= q1):
                 raise ValueError("threshold mode requires q0 < q1 componentwise")
@@ -334,24 +338,19 @@ def _beliefs(means, covs, t0: int) -> List[Belief]:
     return out
 
 
-def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSpec,
-               linearize: Optional[Callable] = None, t0: int = 0) -> FilterRun:
-    """Kalman filter over observation blocks; step i has time index t0 + i
-    and the returned run has no context.
+def run_filter(m0: np.ndarray, p0: np.ndarray, n_steps: int,
+               state_noise: StateNoiseSpec, update: Callable,
+               t0: int = 0) -> FilterRun:
+    """Kalman filter of ``n_steps`` steps; step i has time index t0 + i and
+    the returned run has no context.
 
-    ``blocks`` is a list of ``(H, r, Y)``: H one M x K matrix or a stack of
-    n_steps of them, r the noise as ``_step`` takes it, Y the n_steps x M
-    observations. Each step predicts with ``state_noise``'s transition F
-    (the random walk when None) and Q (the threshold rule reads the last
-    two filtered means), then updates on the blocks in order; its
-    log-likelihood is the sum of the blocks' innovation log-densities.
-    ``linearize(H_t, m_pred, y_t) -> (pseudo_y, r, loglik)``, if given,
-    turns each observation into a pseudo-observation at the current mean
-    (the Poisson log link), and its ``loglik`` replaces the Gaussian one.
+    Each step predicts with ``state_noise``'s transition F (the random walk
+    when None) and Q (the threshold rule reads the last two filtered
+    means), then calls the model's measurement step ``update(i, m, p) ->
+    (m, p, loglik)`` on the predicted moments; ``loglik`` is the step's
+    log-likelihood.
     """
-    blocks = [(np.asarray(h, dtype=float), None if r is None else _as_r(r),
-               np.asarray(y, dtype=float)) for h, r, y in blocks]
-    n_steps, k = len(blocks[0][2]), m0.shape[0]
+    k = m0.shape[0]
     pred_means, means = np.empty((n_steps, k)), np.empty((n_steps, k))
     pred_covs, covs = np.empty((n_steps, k, k)), np.empty((n_steps, k, k))
     per_step = np.empty(n_steps)
@@ -365,16 +364,8 @@ def run_filter(m0: np.ndarray, p0: np.ndarray, blocks, state_noise: StateNoiseSp
             s_states[i] = s
         m, p = _time_update(m, p, q, state_noise.transition)
         pred_means[i], pred_covs[i] = m, p
-        ll = 0.0
-        for h, r, y in blocks:
-            h_i = h[i] if h.ndim == 3 else h
-            if linearize is None:
-                m, p, ll_b = _step(m, p, h_i, r, y[i])
-            else:
-                y_i, r_i, ll_b = linearize(h_i, m, y[i])
-                m, p, _ = _step(m, p, h_i, r_i, y_i)
-            ll += ll_b
-        means[i], covs[i], per_step[i] = m, p, ll
+        m, p, per_step[i] = update(i, m, p)
+        means[i], covs[i] = m, p
     return FilterRun(means, covs, pred_means, pred_covs, per_step, t0, s_states)
 
 
@@ -398,14 +389,8 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
         f = None if f_seq is None else np.asarray(f_seq[t], dtype=float)
         q_t = _symmetrize(np.asarray(q_seq[t], dtype=float))
         mf, pf = run.means[t], run.covs[t]
-        if f is None:
-            mean_pred = mf
-            cov_pred = pf + q_t
-            cross = pf
-        else:
-            mean_pred = f @ mf
-            cov_pred = f @ pf @ f.T + q_t
-            cross = pf @ f.T
+        mean_pred, cov_pred = _time_update(mf, pf, q_t, f)
+        cross = pf if f is None else pf @ f.T
         cond = np.linalg.cond(cov_pred)
         if not np.isfinite(cond) or cond > 1e14:
             raise SingularInnovationError(

@@ -11,7 +11,7 @@ from scipy.special import gammaln, xlogy
 
 from .design import DesignRecipe
 from .gaussmodel import _fit_panel, _simulate_draws
-from .lgss import Belief, FilterRun, StateNoiseSpec
+from .lgss import Belief, FilterRun, StateNoiseSpec, _step
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .design import build_design
 from .lgss import predict, update
@@ -99,15 +99,16 @@ def fit_poisson(panel: np.ndarray, w_seq, spec: PoissonSpec,
     one-step predictive intensity) is recorded.
     """
 
-    def linearize(x_t, m_pred, y_t):
+    def pseudo_obs_step(x_t, m_pred, p_pred, y_t):
         eta_hat = np.clip(x_t @ m_pred, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
         lam_hat = np.clip(np.exp(eta_hat), LAMBDA_FLOOR, None)
         # Poisson log-pmf: y log(lam) - log(y!) - lam.
         loglik = float(np.sum(xlogy(y_t, lam_hat) - gammaln(y_t + 1.0) - lam_hat))
-        return eta_hat + (y_t - lam_hat) / lam_hat, 1.0 / lam_hat, loglik
+        m, p, _ = _step(m_pred, p_pred, x_t, 1.0 / lam_hat,
+                        eta_hat + (y_t - lam_hat) / lam_hat)
+        return m, p, loglik
 
-    return _fit_panel(_check_counts(panel), w_seq, z, spec, None,
-                      linearize=linearize)
+    return _fit_panel(_check_counts(panel), w_seq, z, spec, pseudo_obs_step)
 
 
 def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,

@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .lgss import FilterRun, _as_r, _step, _time_update
+from .lgss import FilterRun, StateNoiseSpec, _as_r, _step, run_filter
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -181,16 +181,18 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
     """Alternating blockwise conditional filter over the stacked CP state.
 
     All three mode blocks evolve as independent random walks with noise
-    q_scale * I. Each time step predicts the joint state, then for each
-    mode in the sweep schedule (repeated ``n_sweeps`` times) runs one
-    conditional Gaussian update holding the other blocks at their current
-    means. Approximate: the exact joint posterior is non-Gaussian. An
-    all-zero conditional design skips that update with a warning.
+    q_scale * I. Each time step predicts the joint state (``run_filter``),
+    then for each mode in the sweep schedule (repeated ``n_sweeps`` times)
+    runs one conditional Gaussian update holding the other blocks at their
+    current means. Approximate: the exact joint posterior is non-Gaussian.
+    An all-zero conditional design skips that update with a warning.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if q_scale < 0 or p0_scale < 0:
-        raise ValueError("q_scale and p0_scale must be nonnegative")
+    if n_sweeps < 1 or len(sweep_schedule) == 0:
+        raise ValueError("n_sweeps must be >= 1 and sweep_schedule nonempty")
+    if not 0 <= p0_scale < np.inf:
+        raise ValueError("p0_scale must be finite and nonnegative")
     panel = np.asarray(panel, dtype=float)
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains non-finite values")
@@ -202,29 +204,21 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
     slices = {1: sl1, 2: sl2, 3: sl3}
 
     rng = np.random.default_rng(init_seed)
-    mean = np.zeros(dim)
+    mean0 = np.zeros(dim)
     # Zero is a fixed point of the conditional updates; small random node
     # loadings and a first-lag-weighted lag profile break the symmetry.
-    mean[sl1] = 0.1 * rng.standard_normal(rank * n)
-    mean[sl2] = 0.1 * rng.standard_normal(rank * n)
+    mean0[sl1] = 0.1 * rng.standard_normal(rank * n)
+    mean0[sl2] = 0.1 * rng.standard_normal(rank * n)
     m3_init = np.zeros((rank, p))
     m3_init[:, 0] = 1.0 / np.sqrt(p)
-    mean[sl3] = m3_init.ravel()
-    cov = p0_scale * np.eye(dim)
+    mean0[sl3] = m3_init.ravel()
 
-    q_joint = q_scale * np.eye(dim)
     r_obs = _as_r(r_scale * np.eye(n))
-    n_steps = t_len - p
-    pred_means, means = np.empty((n_steps, dim)), np.empty((n_steps, dim))
-    pred_covs, covs = np.empty((n_steps, dim, dim)), np.empty((n_steps, dim, dim))
-    per_step = np.empty(n_steps)
-    for i, t in enumerate(range(p, t_len)):
-        mean, cov = _time_update(mean, cov, q_joint)
-        pred_means[i], pred_covs[i] = mean, cov
-        lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
 
-        step_ll = 0.0
-        first = True
+    def sweep(i, mean, cov):
+        t = p + i
+        lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
+        step_ll = None
         for _ in range(n_sweeps):
             for mode in sweep_schedule:
                 factors = CPFactors.unstack(mean, rank, n, p)
@@ -240,15 +234,15 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
                 # H^(k) times the mode-k block reproduces the trilinear mean
                 # exactly, so no conditional offset is needed.
                 mean, cov, ll = _step(mean, cov, h_full, r_obs, panel[t])
-                if first:
+                if step_ll is None:
                     step_ll = ll  # plug-in: first conditional update's density
-                    first = False
-        means[i], covs[i], per_step[i] = mean, cov, step_ll
+        return mean, cov, 0.0 if step_ll is None else step_ll
 
-    return FilterRun(means, covs, pred_means, pred_covs, per_step, p,
-                     context={"panel": panel, "rank": rank, "p": p,
-                              "r_scale": r_scale, "q_scale": q_scale,
-                              "obs_times": list(range(p, t_len))})
+    run = run_filter(mean0, p0_scale * np.eye(dim), t_len - p,
+                     StateNoiseSpec.constant(q_scale * np.eye(dim)), sweep, t0=p)
+    run.context = {"panel": panel, "rank": rank, "p": p, "r_scale": r_scale,
+                   "q_scale": q_scale, "obs_times": list(range(p, t_len))}
+    return run
 
 
 def cp_one_step_mean(run: FilterRun) -> np.ndarray:

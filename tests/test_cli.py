@@ -293,6 +293,22 @@ class TestConfigErrors:
         assert code == 2
         assert "origin 0" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("key", ["q0", "q1", "P0_scale", "m0_scale"])
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, sim_config, key):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        cfg = write_json(tmp_path / "c.json", {"model": "gaussian", "p": 1,
+                                               "sigma2": 0.25, key: np.nan})
+        code = run_cli(["fit", "--config", cfg,
+                        "--out", str(tmp_path / "o"), "--seed", "0",
+                        "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(sim_out / "weight.csv")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o" / "filtered_means.csv").exists()
+
+
 class TestIrfAndPerturb:
     def test_irf_outputs(self, tmp_path, sim_config):
         sim_out = tmp_path / "sim"

@@ -1,11 +1,12 @@
 """The shared filter kernel against the per-step reference loops.
 
-Every model's fit runs through ``lgss.run_filter`` (the CP filter through
-its array steps). Each case here runs the same fit one validated step at
-a time (``oracles.*_per_step``, built from the public ``predict``,
+All four models' fits run through ``lgss.run_filter``, each passing its
+own measurement step. Each case here runs the same fit one validated step
+at a time (``oracles.*_per_step``, built from the public ``predict``,
 ``update`` and ``build_design``) and requires the filtered and predicted
-moments and the per-step log-likelihoods within 1e-12 relative, the same
-time indices and the same threshold states.
+moments and the per-step log-likelihoods within 1e-12 relative (bit for
+bit for the joint node-edge and CP cases), the same time indices and the
+same threshold states.
 """
 
 import numpy as np
@@ -178,5 +179,7 @@ def test_cp():
     panel = np.random.default_rng(5).standard_normal((12, 5))
     kwargs = dict(rank=2, p=2, q_scale=1e-3, r_scale=0.5, n_sweeps=2,
                   init_seed=3)
+    # The sweep runs the reference's floating-point operations in the same
+    # order, so the runs must agree bit for bit.
     assert_same_run(cp_filter_alternating(panel, **kwargs),
-                    oracles.cp_filter_per_step(panel, **kwargs))
+                    oracles.cp_filter_per_step(panel, **kwargs), exact=True)

@@ -15,6 +15,7 @@ from nssm.lgss import (
     two_block_update,
     update,
 )
+from nssm.simulate import EdgePathSpec
 from oracles import joint_gaussian_filter_smoother, joint_gaussian_loglik
 
 
@@ -290,6 +291,42 @@ class TestThreshold:
         spec = StateNoiseSpec.constant(np.eye(2))
         with pytest.raises(ValueError, match="threshold"):
             threshold_Q(np.zeros(2), np.zeros(2), spec)
+
+
+class TestNonFinite:
+    """NaN and inf inputs are ValueErrors, caught before eigvalsh."""
+
+    @pytest.mark.parametrize("mean,cov", [
+        ([0.0, np.nan], np.eye(2)),
+        ([0.0, np.inf], np.eye(2)),
+        (np.zeros(2), np.nan * np.eye(2)),
+    ], ids=["nan_mean", "inf_mean", "nan_cov"])
+    def test_belief(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            Belief(mean=np.asarray(mean), cov=cov)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_constant_q(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            StateNoiseSpec.constant(np.diag([1.0, value]))
+
+    def test_predict_q(self):
+        b = Belief(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            predict(b, np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("which", ["q0", "q1", "d"])
+    def test_threshold_nan(self, which):
+        args = {"q0": np.array([0.1]), "q1": np.array([1.0]),
+                "d": np.array([0.5])}
+        args[which] = np.array([np.nan])
+        with pytest.raises(ValueError, match="positive"):
+            StateNoiseSpec.threshold(**args)
+
+    def test_edge_state_covariance(self):
+        with pytest.raises(ValueError, match="finite"):
+            EdgePathSpec(eta0=np.zeros(2), s_cov=np.array([[1.0, 0.0],
+                                                           [0.0, np.inf]]))
 
 
 class TestTransition:

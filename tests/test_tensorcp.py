@@ -229,6 +229,24 @@ class TestAlternatingFilter:
             cp_filter_alternating(panel, rank=2, p=2)
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"n_sweeps": 0}, "n_sweeps"),
+        ({"sweep_schedule": ()}, "sweep_schedule"),
+        ({"p0_scale": np.nan}, "p0_scale"),
+        ({"p0_scale": -1.0}, "p0_scale"),
+        ({"p0_scale": np.inf}, "p0_scale"),
+        ({"q_scale": np.nan}, "finite"),
+        ({"q_scale": -1e-3}, "negative eigenvalue"),
+    ], ids=["no_sweeps", "empty_schedule", "nan_p0", "negative_p0",
+            "inf_p0", "nan_q", "negative_q"])
+    def test_rejects_bad_settings(self, kwargs, match):
+        # Input errors, raised before the first step: no sweep would return
+        # the prior path, and a NaN Q is not a singular innovation.
+        panel = simulate_cp_panel(t_len=20)
+        with pytest.raises(ValueError, match=match) as info:
+            cp_filter_alternating(panel, rank=2, p=2, **kwargs)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
     def test_degenerate_design_warns_and_skips(self):
         panel = np.zeros((10, 3))
         with warnings.catch_warnings(record=True) as caught:
