@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](args, cfg, out)
-    except np.linalg.LinAlgError as exc:  # SingularInnovationError too
+    except np.linalg.LinAlgError as exc:  # its nssm subclasses too
         print(json.dumps({"error": "numerical", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graph import WeightMatrix, perturb
 from .lgss import FilterRun
@@ -166,6 +165,7 @@ def score(kind: str, prediction, actual) -> float:
     A zero-probability outcome yields -inf (flagged by the caller).
     """
     from scipy import stats
+    from scipy.special import logsumexp
 
     y = np.asarray(actual, dtype=float)
     if kind == "gaussian_lpd":

@@ -11,8 +11,8 @@ import numpy as np
 
 from .design import (DesignRecipe, _w_at, build_design, design_columns,
                      design_stack, spillover_matrix)
-from .lgss import (Belief, FilterRun, StateNoiseSpec, _as_r, _state_q,
-                   _step, _time_update, run_filter)
+from .lgss import (Belief, FilterRun, NumericalError, StateNoiseSpec, _as_r,
+                   _state_q, _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -135,7 +135,8 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     ``[rng_seed, 0, 0]`` would be the stream of ``default_rng(rng_seed)``.
     numpy fills a block in row order, so row s of each block is the same
     whatever ``n_draws``, and horizon h's blocks are the same whatever H:
-    draw s's path up to h does not depend on either.
+    draw s's path up to h does not depend on either. Raises
+    NumericalError when a horizon's block is not finite after ``observe``.
     """
     inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
     ctx = run.context
@@ -169,7 +170,11 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
                     np.multiply(col, th[:, :1], out=eta)
                 else:
                     eta += col * th[:, j:j + 1]
-        lags = [observe(h, blocks[h], stream(h + 1, 2))] + lags[:-1]
+        newest = observe(h, blocks[h], stream(h + 1, 2))
+        if not np.all(np.isfinite(blocks[h])):
+            raise NumericalError(f"forecast draws at horizon {h + 1} are "
+                                 f"not finite")
+        lags = [newest] + lags[:-1]
     return blocks
 
 
@@ -266,7 +271,8 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     path, or an approximate network: ``future_w=[w_hat]`` at h = 1 is the
     plug-in forecast under w_hat); otherwise the last fitted network is
     carried forward. ``future_z`` holds the covariates of each horizon; a
-    recipe with covariate columns requires it.
+    recipe with covariate columns requires it. Raises NumericalError when
+    a horizon's mean or covariance is not finite.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -301,6 +307,8 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
         b_hat = spillover_matrix(float(beta1), float(beta2), w_k)
         cov_k = x_k @ p_state @ x_k.T + r_mat + b_hat @ sigma_prev @ b_hat.T
         cov_k = 0.5 * (cov_k + cov_k.T)
+        if not (np.all(np.isfinite(mean_k)) and np.all(np.isfinite(cov_k))):
+            raise NumericalError(f"forecast at horizon {k} is not finite")
         forecasts.append(GaussianForecast(mean=mean_k, cov=cov_k, horizon=k))
         y_prev = mean_k
         sigma_prev = cov_k

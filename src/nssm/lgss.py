@@ -31,6 +31,10 @@ class SingularInnovationError(np.linalg.LinAlgError):
         self.condition_estimate = condition_estimate
 
 
+class NumericalError(np.linalg.LinAlgError):
+    """A state or forecast stopped being finite (overflow, not bad input)."""
+
+
 def _symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
@@ -135,6 +139,8 @@ def _as_r(r) -> np.ndarray:
             raise ValueError("observation noise R must be positive definite")
         return r
     r = np.atleast_2d(r)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("observation noise R must be finite")
     if r.shape[0] != r.shape[1] or not np.max(np.abs(r - r.T)) <= _SYM_TOL:
         raise ValueError("observation noise R must be symmetric")
     try:

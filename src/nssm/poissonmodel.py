@@ -3,11 +3,11 @@ multi-step forecasting with forecast-only stabilization."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .design import DesignRecipe
 from .gaussmodel import _fit_panel, _simulate_draws
@@ -79,6 +79,20 @@ class ForecastEnsemble:
         return self.intensities.shape[0]
 
 
+def _log_factorial(y: np.ndarray) -> np.ndarray:
+    """log(y!) of a 1-D row of integer counts, by ``math.lgamma`` on its
+    distinct values: a row holds few of them, and a cumulative log table
+    up to ``y.max()`` would add rounding error with every entry."""
+    values, inverse = np.unique(y, return_inverse=True)
+    return np.array([math.lgamma(v + 1.0) for v in values])[inverse]
+
+
+def _poisson_loglik(y: np.ndarray, lam: np.ndarray) -> float:
+    """Poisson log-pmf y log(lam) - log(y!) - lam, summed over a row of
+    counts; lam > 0, so y log(lam) needs no y = 0 case."""
+    return float(np.sum(y * np.log(lam) - _log_factorial(y) - lam))
+
+
 def _check_counts(panel):
     panel = np.asarray(panel)
     if np.any(panel < 0) or not np.all(np.isfinite(panel)):
@@ -102,11 +116,9 @@ def fit_poisson(panel: np.ndarray, w_seq, spec: PoissonSpec,
     def pseudo_obs_step(x_t, m_pred, p_pred, y_t):
         eta_hat = np.clip(x_t @ m_pred, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
         lam_hat = np.clip(np.exp(eta_hat), LAMBDA_FLOOR, None)
-        # Poisson log-pmf: y log(lam) - log(y!) - lam.
-        loglik = float(np.sum(xlogy(y_t, lam_hat) - gammaln(y_t + 1.0) - lam_hat))
         m, p, _ = _step(m_pred, p_pred, x_t, 1.0 / lam_hat,
                         eta_hat + (y_t - lam_hat) / lam_hat)
-        return m, p, loglik
+        return m, p, _poisson_loglik(y_t, lam_hat)
 
     return _fit_panel(_check_counts(panel), w_seq, z, spec, pseudo_obs_step)
 

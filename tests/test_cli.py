@@ -308,6 +308,27 @@ class TestConfigErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (tmp_path / "o" / "filtered_means.csv").exists()
 
+    def test_overflowing_forecast_exit_3(self, tmp_path, capsys, sim_config):
+        # Coefficients (40, 40, 40) held by a tiny prior and Q: the
+        # forecast grows by a factor 80 a step and overflows long before
+        # h = 300. That is a numerical failure, not a config error.
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        cfg = write_json(tmp_path / "c.json", {
+            "model": "gaussian", "p": 1, "sigma2": 0.25, "q0": 1e-12,
+            "m0_scale": 40.0, "P0_scale": 1e-12, "horizon": 300})
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["forecast", "--config", cfg,
+                            "--out", str(tmp_path / "o"), "--seed", "0",
+                            "--panel", str(sim_out / "panel.csv"),
+                            "--weight", str(sim_out / "weight.csv")])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "not finite" in err["message"]
+        assert not (tmp_path / "o" / "forecast_means.csv").exists()
+
 
 class TestIrfAndPerturb:
     def test_irf_outputs(self, tmp_path, sim_config):
@@ -368,6 +389,13 @@ def test_import_leaves_scipy_stats_out():
     # scipy.stats takes about 1 s to import; only the scoring functions
     # of evalharness need it, and they import it when called.
     assert not loaded_by_cli_import("scipy.stats")
+
+
+def test_import_leaves_scipy_special_out():
+    # scipy.special is most of scipy's import cost; the Poisson log-pmf
+    # of fit_poisson is numpy, and evalharness.score imports logsumexp
+    # when called.
+    assert not loaded_by_cli_import("scipy.special")
 
 
 def test_import_leaves_networkx_out():

@@ -18,7 +18,7 @@ from nssm.evalharness import (
     tail_metrics,
     truncate_run,
 )
-from nssm.gaussmodel import GaussianSpec, fit_gaussian
+from nssm.gaussmodel import GaussianSpec, fit_gaussian, forecast_gaussian
 from nssm.graph import Adjacency, row_normalize
 from nssm.lgss import FilterRun, StateNoiseSpec
 
@@ -211,6 +211,29 @@ class TestRollingEval:
         # The raised failure is recorded; the non-finite prediction raised
         # nothing.
         assert report.extras["failures"] == [(5, None, "LinAlgError", "boom")]
+
+    def test_overflowing_forecast_is_masked(self):
+        # A forecast that overflows raises NumericalError, which masks its
+        # origin and is recorded, as any LinAlgError is.
+        rng = np.random.default_rng(4)
+        w = small_w()
+        panel = rng.standard_normal((20, 6))
+        spec = GaussianSpec(
+            recipe=DesignRecipe(),
+            state_noise=StateNoiseSpec.constant(1e-12 * np.eye(3)),
+            m0=np.array([0.0, 40.0, 40.0]), p0_scale=1e-12)
+
+        def forecast_fn(sub, h_max):
+            # Far enough ahead to overflow, whatever the plan's horizons.
+            return [fc.mean for fc in forecast_gaussian(sub, spec, 300)]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = rolling_eval(lambda p, w: fit_gaussian(p, w, None, spec),
+                                  forecast_fn, panel, w,
+                                  self._plan((5, 10), horizons=(1, 2)))
+        assert report.failure_mask.all()
+        assert [f[:3] for f in report.extras["failures"]] == [
+            (5, None, "NumericalError"), (10, None, "NumericalError")]
 
     def test_truncate_matches_refit(self):
         rng = np.random.default_rng(2)

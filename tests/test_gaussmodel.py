@@ -275,6 +275,37 @@ class TestForecastGaussian:
             assert np.array_equal(da["draws"], db["draws"])
 
 
+class TestForecastOverflow:
+    """theta = (0, 40, 40) with a tiny prior and Q grows each forecast by a
+    factor 80 a step, so it overflows long before h = 300: a typed
+    numerical failure, not the design's non-finite-lag ValueError."""
+
+    @pytest.fixture
+    def explosive(self):
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=12)
+        spec = GaussianSpec(
+            recipe=DesignRecipe(), obs_noise=ObsNoise("scalar", 0.25),
+            state_noise=StateNoiseSpec.constant(1e-12 * np.eye(3)),
+            m0=np.array([0.0, 40.0, 40.0]), p0_scale=1e-12)
+        return fit_gaussian(panel, w, None, spec), spec
+
+    def test_closed_form_raises_numerical_error(self, explosive):
+        run, spec = explosive
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(lgss.NumericalError, match="not finite"):
+                forecast_gaussian(run, spec, 300)
+        assert issubclass(lgss.NumericalError, np.linalg.LinAlgError)
+        # The early horizons are finite and are returned as before.
+        assert np.all(np.isfinite(forecast_gaussian(run, spec, 20)[-1].cov))
+
+    def test_monte_carlo_raises_numerical_error(self, explosive):
+        run, spec = explosive
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(lgss.NumericalError, match="not finite"):
+                mc_forecast_gaussian(run, spec, 300, 10, rng_seed=0)
+
+
 class TestMcForecastGaussian:
     """mc_forecast_gaussian advances all draws together and draws each
     horizon's state and observation noise as one block; the per-draw loop

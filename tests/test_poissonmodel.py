@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special, stats
 
 import oracles
 
@@ -17,6 +21,7 @@ from nssm.poissonmodel import (
     fit_poisson,
     mc_forecast,
 )
+from nssm.poissonmodel import _poisson_loglik
 from nssm.simulate import CoeffPathSpec, gen_coeff_paths, gen_poisson_panel
 
 
@@ -107,6 +112,38 @@ class TestFitPoisson:
         panel = np.zeros((15, 6))
         run = fit_poisson(panel, w, default_spec())
         assert np.all(np.isfinite(run.beliefs_filtered[-1].mean))
+
+
+class TestPoissonLoglik:
+    """The per-step log-likelihood term of fit_poisson, in numpy, against
+    scipy's Poisson log-pmf."""
+
+    # Each cell picks a count from a small pool that always holds 0, so
+    # rows have zeros and repeats, and either a log10 intensity or, to
+    # reach the cancelling case lam ~ y, a ratio lam / max(y, 1).
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 5), st.floats(-8.0, 8.0),
+                              st.booleans()), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_logpmf(self, values, cells):
+        pool = [0] + values
+        y = np.array([pool[i % len(pool)] for i, _, _ in cells], dtype=float)
+        lam = np.array([
+            max(yi, 1.0) * (1.0 + e / 100.0) if near else 10.0 ** e
+            for yi, (_, e, near) in zip(y, cells)])
+        got = _poisson_loglik(y, lam)
+        want = float(stats.poisson.logpmf(y, lam).sum())
+        # y log(lam) - log(y!) - lam cancels when lam ~ y (to -7.8 from
+        # terms of 1.4e7 at y = 1e6), and scipy's value rounds the same
+        # terms, so the error is relative to their size, not the sum's.
+        terms = np.sum(np.abs(y * np.log(lam)) + special.gammaln(y + 1) + lam)
+        assert abs(got - want) <= 1e-13 * max(terms, abs(want))
+
+    def test_log_factorial_at_the_extremes(self):
+        y = np.array([0.0, 1.0, 0.0, 10.0**6, 1.0])
+        got = _poisson_loglik(y, np.ones(5))
+        want = -sum(math.lgamma(v + 1.0) for v in y) - 5.0
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestStabilizerConfig:

@@ -237,13 +237,16 @@ class TestAlternatingFilter:
         ({"p0_scale": np.inf}, "p0_scale"),
         ({"q_scale": np.nan}, "finite"),
         ({"q_scale": -1e-3}, "negative eigenvalue"),
+        ({"r_scale": np.nan}, "R must be finite"),
+        ({"r_scale": np.inf}, "R must be finite"),
     ], ids=["no_sweeps", "empty_schedule", "nan_p0", "negative_p0",
-            "inf_p0", "nan_q", "negative_q"])
+            "inf_p0", "nan_q", "negative_q", "nan_r", "inf_r"])
     def test_rejects_bad_settings(self, kwargs, match):
         # Input errors, raised before the first step: no sweep would return
         # the prior path, and a NaN Q is not a singular innovation.
         panel = simulate_cp_panel(t_len=20)
-        with pytest.raises(ValueError, match=match) as info:
+        with pytest.raises(ValueError, match=match) as info, \
+                np.errstate(invalid="ignore"):  # inf * 0 in r_scale * I
             cp_filter_alternating(panel, rank=2, p=2, **kwargs)
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
