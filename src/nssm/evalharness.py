@@ -16,7 +16,7 @@ from .poissonmodel import EXPLOSION_THRESHOLD
 DEFAULT_HORIZONS = (1, 2, 4, 8)
 # The failures that mask a rolling-evaluation cell; any other exception
 # is a bug and propagates.
-_NUMERICAL_ERRORS = (np.linalg.LinAlgError, ValueError, FloatingPointError)
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,14 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
     returns per-horizon predictive means (list of length-N arrays or a
     2-d array). ``score_fn(run, horizon, actual)``, if given, returns a
     scalar log score recorded alongside. A numerical failure
-    (``LinAlgError``, ``ValueError`` or ``FloatingPointError``) of an
-    origin's forecast or a cell's score masks the origin or the cell and
-    is recorded in ``extras["failures"]`` as (origin, horizon or None for
-    the whole origin, exception type name, message); any other exception
-    propagates. An origin that is not an observation time of the run is a
-    plan mistake, not a numerical failure: its ``ValueError`` propagates.
+    (``LinAlgError``, which ``lgss.NumericalError`` is, or
+    ``FloatingPointError``) of an origin's forecast or a cell's score
+    masks the origin or the cell and is recorded in ``extras["failures"]``
+    as (origin, horizon or None for the whole origin, exception type name,
+    message); any other exception propagates. A ``ValueError`` is a config
+    or plan mistake, not a numerical failure: a forecast that lacks its
+    ``future_z``, or an origin that is not an observation time of the run,
+    raises.
     """
     panel = np.asarray(panel, dtype=float)
     n = panel.shape[1]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -105,11 +106,21 @@ def _horizon_inputs(run: FilterRun, recipe: DesignRecipe, horizon: int,
     return list(zip(networks, covariates))
 
 
-# Draws per slab when the linear predictor is accumulated: the temporaries
-# stay 64 x N whatever S, so the returned blocks are nearly all the memory.
+# Draws per slab when the linear predictor is accumulated or counts are
+# sampled: the temporaries stay 64 x N whatever S, so the returned blocks
+# are nearly all the memory.
 _DRAW_SLAB = 64
 
 
+def _stream(rng_seed: int, h: int, kind: int) -> np.random.Generator:
+    """The Monte-Carlo random stream of horizon ``h`` (0 for the initial
+    draw) and variate ``kind``; see ``_simulate_draws``."""
+    return np.random.default_rng([rng_seed, h, kind])
+
+
+# An overflow ends in the NumericalError the function raises; numpy's
+# warnings on the way there would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
                     state_noise: StateNoiseSpec, horizon: int, n_draws: int,
                     rng_seed: int, future_w, future_z, observe,
@@ -127,11 +138,12 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     ``_horizon_inputs``.
 
     The random streams are keyed by what they draw, not by draw:
-    ``default_rng([rng_seed, 0, 1])`` draws the initial S x K block, and
-    at horizon h >= 1 ``default_rng([rng_seed, h, 1])`` draws the S x K
-    state-noise block and ``default_rng([rng_seed, h, 2])`` is the
-    generator ``observe`` draws its S x N block from, 2H + 1 generators in
-    all. No key ends in 0: numpy's SeedSequence pads a key with zeros, so
+    ``_stream(rng_seed, 0, 1)`` draws the initial S x K block, and at
+    horizon h >= 1 ``_stream(rng_seed, h, 1)`` draws the S x K state-noise
+    block and ``_stream(rng_seed, h, 2)`` is the generator ``observe``
+    draws its S x N block from, 2H + 1 generators in all (the Poisson
+    sampler adds ``_stream(rng_seed, h, 3)`` at a horizon that needs it).
+    No key ends in 0: numpy's SeedSequence pads a key with zeros, so
     ``[rng_seed, 0, 0]`` would be the stream of ``default_rng(rng_seed)``.
     numpy fills a block in row order, so row s of each block is the same
     whatever ``n_draws``, and horizon h's blocks are the same whatever H:
@@ -148,9 +160,7 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
     p_chol = np.linalg.cholesky(run.covs[-1] + 1e-12 * np.eye(k))
 
-    def stream(h, kind):
-        return np.random.default_rng([rng_seed, h, kind])
-
+    stream = partial(_stream, rng_seed)
     theta = m + stream(0, 1).standard_normal((n_draws, k)) @ p_chol.T
     # Until the first draw is fed back, a lag is one length-N vector that
     # broadcasts against the S x N blocks.
@@ -259,6 +269,7 @@ def _closed_form_supported(recipe: DesignRecipe) -> bool:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
                       future_w=None, future_z=None) -> List[GaussianForecast]:
     """Iterated h-step forecasts from the final filtered belief.
@@ -272,7 +283,8 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     plug-in forecast under w_hat); otherwise the last fitted network is
     carried forward. ``future_z`` holds the covariates of each horizon; a
     recipe with covariate columns requires it. Raises NumericalError when
-    a horizon's mean or covariance is not finite.
+    a horizon's mean or covariance is not finite, without numpy's overflow
+    warnings on the way there.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -10,8 +10,8 @@ from typing import List, Optional
 import numpy as np
 
 from .design import DesignRecipe
-from .gaussmodel import _fit_panel, _simulate_draws
-from .lgss import Belief, FilterRun, StateNoiseSpec, _step
+from .gaussmodel import _DRAW_SLAB, _fit_panel, _simulate_draws, _stream
+from .lgss import Belief, FilterRun, NumericalError, StateNoiseSpec, _step
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .design import build_design
 from .lgss import predict, update
@@ -20,6 +20,12 @@ from .lgss import predict, update
 BASELINE_ETA_CAP = 20.0
 LAMBDA_FLOOR = 1e-8
 EXPLOSION_THRESHOLD = 1e6
+# Counts with an intensity below the cut-off are drawn by inversion; at and
+# above it, where numpy's own sampler switches to PTRS, by rng.poisson.
+INVERSION_CUTOFF = 10.0
+# Terms of the CDF that the inversion sums over whole slabs before it
+# carries on with the few counts still unresolved.
+_SLAB_TERMS = 7
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,80 @@ def fit_poisson(panel: np.ndarray, w_seq, spec: PoissonSpec,
     return _fit_panel(_check_counts(panel), w_seq, z, spec, pseudo_obs_step)
 
 
+def _poisson_counts(lam: np.ndarray, rng: np.random.Generator,
+                    fallback) -> np.ndarray:
+    """Poisson counts of an S x N block of intensities, one uniform per
+    count.
+
+    Each count takes the next uniform u of ``rng`` in row order. Below
+    ``INVERSION_CUTOFF`` the count is #{k : F(k) < u}, the inverse of the
+    CDF F(k) = p_0 + ... + p_k summed by sequential search with p_0 =
+    e^-lam and p_k = p_(k-1) lam / k (Devroye 1986, section X.3). The
+    first ``_SLAB_TERMS`` terms are summed over whole slabs of
+    ``_DRAW_SLAB`` rows; the counts still unresolved then continue as one
+    compacted array, and each leaves it once F(k) >= u or adding p_k no
+    longer changes F, so a u above the summed CDF's limit ends too. At or
+    above the cut-off the counts come, in row order, from
+    ``rng.poisson`` on the generator ``fallback()``, made on first need.
+    So row s depends on the rows before it only, whatever S. An intensity
+    that is not finite, or too large for ``rng.poisson``, raises
+    NumericalError.
+    """
+    n_rows, n_cols = lam.shape
+    counts = np.empty(lam.shape, dtype=np.int64)
+    slab = (min(_DRAW_SLAB, n_rows), n_cols)
+    u_buf, p_buf, cdf_buf = np.empty(slab), np.empty(slab), np.empty(slab)
+    below_buf = np.empty(slab, dtype=bool)
+    n_buf = np.empty(slab, dtype=np.uint8)
+    unresolved, big_rng = [], None
+    for start in range(0, n_rows, _DRAW_SLAB):
+        lam_s = lam[start:start + _DRAW_SLAB]
+        rows = lam_s.shape[0]
+        u, p, cdf = u_buf[:rows], p_buf[:rows], cdf_buf[:rows]
+        below, n = below_buf[:rows], n_buf[:rows]
+        rng.random(out=u)
+        np.exp(np.negative(lam_s, out=p), out=p)
+        np.copyto(cdf, p)
+        np.less(cdf, u, out=below)
+        np.copyto(n, below)
+        for k in range(1, _SLAB_TERMS):
+            p *= lam_s
+            p *= 1.0 / k
+            cdf += p
+            np.less(cdf, u, out=below)
+            n += below.view(np.uint8)
+        counts[start:start + rows] = n
+        small = lam_s < INVERSION_CUTOFF
+        below &= small
+        idx = np.flatnonzero(below)
+        if idx.size:
+            unresolved.append((start * n_cols + idx, lam_s.ravel()[idx],
+                               u.ravel()[idx], p.ravel()[idx], cdf.ravel()[idx]))
+        if not small.all():
+            big = ~small
+            if big_rng is None:
+                big_rng = fallback()
+            try:
+                counts[start:start + rows][big] = big_rng.poisson(lam_s[big])
+            except ValueError as exc:  # NaN, inf, or past numpy's ~9.2e18
+                raise NumericalError(
+                    f"Poisson intensities cannot be sampled: {exc}") from exc
+    if unresolved:
+        flat = counts.reshape(-1)
+        idx, lam_t, u, p, cdf = (np.concatenate(a) for a in zip(*unresolved))
+        k = _SLAB_TERMS
+        while idx.size:
+            p *= lam_t
+            p *= 1.0 / k
+            nxt = cdf + p
+            going = (nxt < u) & (nxt > cdf)
+            flat[idx[~going]] = k
+            idx, lam_t, u, p = idx[going], lam_t[going], u[going], p[going]
+            cdf = nxt[going]
+            k += 1
+    return counts
+
+
 def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
                 stab: StabilizerConfig, rng_seed: int,
                 future_w=None, future_z=None) -> List[ForecastEnsemble]:
@@ -132,10 +212,15 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     F, if the spec has one, and damped toward the filtered mean by the
     stabilizer's phi), caps the linear predictor and intensity,
     samples counts, and feeds the counts into the next step's design.
-    The draws are batched: all S advance together, W y is one matrix
-    product over the draws per horizon (in slabs of 64 draws), and each
-    horizon's counts are one ``poisson`` call on the S x N intensities,
-    from that horizon's observation stream (see
+    The draws are batched: all S advance together, and W y is one matrix
+    product over the draws per horizon (in slabs of 64 draws). Each count
+    takes one uniform from its horizon's observation stream
+    ``[rng_seed, h, 2]`` and inverts the Poisson CDF with it
+    (``_poisson_counts``), so the raw and stabilized forecasts of one seed
+    share their random numbers count for count. Intensities at or above
+    ``INVERSION_CUTOFF`` draw with ``rng.poisson`` from the stream
+    ``[rng_seed, h, 3]``, which is made only at a horizon that has one:
+    2H + 1 generators without them, up to 3H + 1 with them (see
     ``gaussmodel._simulate_draws``). Deterministic given (run, spec,
     seed); draw s is the same whatever ``n_draws``, and its path up to
     horizon h the same whatever ``horizon``. ``future_w``, if given,
@@ -151,7 +236,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
         np.clip(block, -stab.eta_max, stab.eta_max, out=block)
         np.exp(block, out=block)
         np.minimum(block, stab.lambda_max, out=block)
-        counts.append(rng.poisson(block))
+        counts.append(_poisson_counts(
+            block, rng, lambda: _stream(rng_seed, h + 1, 3)))
         return counts[-1]
 
     intensities = _simulate_draws(run, spec.recipe, spec.state_noise, horizon,

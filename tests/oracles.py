@@ -20,6 +20,7 @@ from nssm.lgss import (
     two_block_update,
     update,
 )
+from nssm.poissonmodel import INVERSION_CUTOFF
 
 
 def joint_gaussian_filter_smoother(m0, p0, q_seq, h_seq, r_seq, y_seq):
@@ -197,10 +198,13 @@ def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
 
     Draw s takes K initial normals from the initial stream, then per
     horizon h K state normals from the horizon's state stream and N
-    Poisson counts from its observation stream; each stream is shared by
-    all draws, so draw s takes the s-th values of each. The coefficients
-    step as theta <- phi F theta + (1 - phi) m + Q^1/2 e. Returns
-    per-horizon (intensities, counts), each S x N.
+    uniforms from its observation stream; each stream is shared by all
+    draws, so draw s takes the s-th values of each. A count whose
+    intensity is below the cut-off is the Poisson quantile of its uniform,
+    by ``scipy.stats.poisson.ppf``; the others are ``poisson`` draws from
+    the horizon's fallback stream ``[rng_seed, h, 3]``, taken in draw
+    order. The coefficients step as theta <- phi F theta + (1 - phi) m +
+    Q^1/2 e. Returns per-horizon (intensities, counts), each S x N.
     """
     panel = run.context["panel"]
     t_last = run.context["obs_times"][-1]
@@ -210,6 +214,8 @@ def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
     f = _mc_transition(spec.state_noise, k)
     networks = _mc_networks(run, horizon, future_w)
     init_rng, state_rngs, obs_rngs = _mc_streams(rng_seed, horizon)
+    big_rngs = [np.random.default_rng([rng_seed, h, 3])
+                for h in range(1, horizon + 1)]
     phi, eta_cap, lam_cap = stab.phi, stab.eta_max, stab.lambda_max
 
     intensities = [np.empty((n_draws, n)) for _ in range(horizon)]
@@ -224,7 +230,11 @@ def mc_forecast_per_draw(run, spec, horizon, n_draws, stab, rng_seed,
             x_h = _dense_design(networks[h], lag_window, z_h, spec.recipe)
             eta = np.clip(x_h @ theta, -eta_cap, eta_cap)
             lam = np.minimum(np.exp(eta), lam_cap)
-            y_h = obs_rngs[h].poisson(lam).astype(np.int64)
+            u = obs_rngs[h].random(n)
+            small = lam < INVERSION_CUTOFF
+            y_h = np.empty(n, dtype=np.int64)
+            y_h[small] = stats.poisson.ppf(u[small], lam[small])
+            y_h[~small] = big_rngs[h].poisson(lam[~small])
             intensities[h][s] = lam
             counts[h][s] = y_h
             lag_window = [y_h.astype(float)] + lag_window[:-1]

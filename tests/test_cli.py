@@ -329,6 +329,25 @@ class TestConfigErrors:
         assert "not finite" in err["message"]
         assert not (tmp_path / "o" / "forecast_means.csv").exists()
 
+    def test_overflowing_forecast_stderr_is_one_json_line(self, tmp_path,
+                                                          sim_config):
+        # The overflow is reported once, as the structured error; numpy's
+        # overflow warnings on the way there are not printed.
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        cfg = write_json(tmp_path / "c.json", {
+            "model": "gaussian", "p": 1, "sigma2": 0.25, "q0": 1e-12,
+            "m0_scale": 40.0, "P0_scale": 1e-12, "horizon": 300})
+        out = run_python(["-m", "nssm.cli", "forecast", "--config", cfg,
+                          "--out", str(tmp_path / "o"), "--seed", "0",
+                          "--panel", str(sim_out / "panel.csv"),
+                          "--weight", str(sim_out / "weight.csv")])
+        assert out.returncode == 3
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1, out.stderr
+        assert json.loads(lines[0])["error"] == "numerical"
+
 
 class TestIrfAndPerturb:
     def test_irf_outputs(self, tmp_path, sim_config):
@@ -372,16 +391,23 @@ class TestIrfAndPerturb:
         assert code == 2
 
 
-def loaded_by_cli_import(module):
-    """Whether a fresh interpreter has ``module`` loaded after
-    ``import nssm.cli``."""
+def run_python(args):
+    """Run ``python args`` in a fresh interpreter that imports this
+    checkout's nssm; returns the completed process."""
     src = str(Path(nssm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable] + args, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def loaded_by_cli_import(module):
+    """Whether a fresh interpreter has ``module`` loaded after
+    ``import nssm.cli``."""
     code = f"import sys, nssm.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    out = run_python(["-c", code])
+    assert out.returncode == 0, out.stderr
     return out.stdout.strip() == "True"
 
 

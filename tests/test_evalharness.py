@@ -190,6 +190,26 @@ class TestRollingEval:
             rolling_eval(lambda p, w: fit_gaussian(p, w, None, spec),
                          forecast_fn, panel, w, self._plan((0, 10)))
 
+    def test_config_error_in_forecast_raises(self):
+        # A covariate recipe forecast without future_z is a config error:
+        # it raises from the first origin instead of masking every one.
+        rng = np.random.default_rng(5)
+        w = small_w()
+        panel = rng.standard_normal((30, 6))
+        z = rng.standard_normal((30, 6, 1))
+        recipe = DesignRecipe(covariate_count=1)
+        spec = GaussianSpec(
+            recipe=recipe,
+            state_noise=StateNoiseSpec.constant(1e-4 * np.eye(recipe.n_cols)),
+        )
+
+        def forecast_fn(sub, h_max):
+            return [fc.mean for fc in forecast_gaussian(sub, spec, h_max)]
+
+        with pytest.raises(ValueError, match="future_z required"):
+            rolling_eval(lambda p, w: fit_gaussian(p, w, z, spec),
+                         forecast_fn, panel, w, self._plan((10, 20)))
+
     def test_failure_mask_records_not_raises(self):
         panel = np.ones((12, 2))
 

@@ -10,10 +10,11 @@ import oracles
 
 from nssm.design import DesignRecipe, build_design
 from nssm.graph import Adjacency, row_normalize
-from nssm.lgss import StateNoiseSpec
+from nssm.lgss import NumericalError, StateNoiseSpec
 from nssm.poissonmodel import (
     BASELINE_ETA_CAP,
     EXPLOSION_THRESHOLD,
+    INVERSION_CUTOFF,
     ForecastEnsemble,
     PoissonSpec,
     StabilizerConfig,
@@ -21,8 +22,9 @@ from nssm.poissonmodel import (
     fit_poisson,
     mc_forecast,
 )
-from nssm.poissonmodel import _poisson_loglik
-from nssm.simulate import CoeffPathSpec, gen_coeff_paths, gen_poisson_panel
+from nssm.poissonmodel import _poisson_counts, _poisson_loglik
+from nssm.simulate import (CoeffPathSpec, GraphGen, gen_coeff_paths,
+                           gen_graph, gen_poisson_panel)
 
 
 def make_w(n=6, seed=0):
@@ -50,6 +52,11 @@ def simulate_counts(w, t_len=60, seed=1, init=(0.3, 0.1, 0.1)):
     spec = CoeffPathSpec(k=3, init=np.array(init), rw_sd=np.full(3, 0.002))
     paths, _ = gen_coeff_paths(spec, t_len, seed)
     return gen_poisson_panel(w, paths, t_len, seed + 1), paths
+
+
+# Coefficients whose forecast intensities straddle INVERSION_CUTOFF: a
+# quarter to three quarters of each horizon's are at or above it.
+HIGH_INIT = (2.0, 0.02, 0.02)
 
 
 class TestFitPoisson:
@@ -146,6 +153,98 @@ class TestPoissonLoglik:
         assert got == pytest.approx(want, rel=1e-15)
 
 
+class _Uniforms:
+    """Stands in for a Generator whose ``random`` yields given uniforms,
+    in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float).ravel()
+        self.pos = 0
+
+    def random(self, out):
+        out[...] = self.u[self.pos:self.pos + out.size].reshape(out.shape)
+        self.pos += out.size
+
+
+def _no_fallback():
+    raise AssertionError("no intensity reaches the cut-off")
+
+
+BELOW_CUTOFF = np.nextafter(INVERSION_CUTOFF, 0.0)
+
+
+class TestPoissonCounts:
+    """The inverse-CDF sampler of mc_forecast against scipy's Poisson
+    quantile function, which computes the CDF by the incomplete gamma
+    function, not by the sampler's recursion."""
+
+    # One column of cells, up to 150 rows, so that several 64-row slabs
+    # and the compacted tail are both exercised. A cell's intensity is
+    # 10**e or a few ulps below the cut-off; u stays 2**-30 below 1, where
+    # the quantiles are far apart next to the error of either CDF.
+    @given(st.lists(st.tuples(
+        st.one_of(st.floats(-8.0, 1.0, exclude_max=True).map(
+                      lambda e: min(10.0 ** e, BELOW_CUTOFF)),
+                  st.integers(1, 2 ** 20).map(
+                      lambda k: INVERSION_CUTOFF - k * 2.0 ** -49)),
+        st.floats(0.0, 1.0 - 2.0 ** -30, exclude_min=True)),
+        min_size=1, max_size=150))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_ppf(self, cells):
+        lam = np.array([[c[0]] for c in cells])
+        u = np.array([[c[1]] for c in cells])
+        got = _poisson_counts(lam, _Uniforms(u), _no_fallback)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, stats.poisson.ppf(u, lam))
+
+    def test_matches_scipy_ppf_on_a_wide_block(self):
+        # 150 x 40 intensities over the whole range below the cut-off.
+        rng = np.random.default_rng(0)
+        lam = INVERSION_CUTOFF * rng.random((150, 40))
+        got = _poisson_counts(lam, np.random.default_rng(1), _no_fallback)
+        u = np.random.default_rng(1).random(lam.shape)
+        assert np.array_equal(got, stats.poisson.ppf(u, lam))
+
+    def test_largest_uniform_terminates(self):
+        # u = 1 - 2**-53 may lie above the summed CDF's limit; the search
+        # then stops where adding p_k no longer changes the sum, a few
+        # counts past the 1 - 1e-15 quantile.
+        lam = np.array([[1e-8, 1e-3, 0.5, 1.0, 2.5, 5.0, 9.0, BELOW_CUTOFF]])
+        got = _poisson_counts(lam, _Uniforms(np.full(lam.shape, 1 - 2.0 ** -53)),
+                              _no_fallback)
+        floor = stats.poisson.ppf(1 - 1e-15, lam)
+        assert np.all(got >= floor) and np.all(got <= floor + 5)
+
+    def test_cutoff_and_above_come_from_the_fallback_stream(self):
+        rng = np.random.default_rng(2)
+        lam = 30.0 * rng.random((150, 20))
+        lam[0, :3] = [INVERSION_CUTOFF, BELOW_CUTOFF, 1e4]
+        made = []
+
+        def fallback():
+            made.append(True)
+            return np.random.default_rng([5, 1, 3])
+
+        got = _poisson_counts(lam, np.random.default_rng([5, 1, 2]), fallback)
+        assert made == [True]
+        small = lam < INVERSION_CUTOFF
+        u = np.random.default_rng([5, 1, 2]).random(lam.shape)
+        assert np.array_equal(got[small], stats.poisson.ppf(u[small], lam[small]))
+        # Row-major order: draw by draw, in node order within a draw.
+        want = np.random.default_rng([5, 1, 3]).poisson(lam[~small])
+        assert np.array_equal(got[~small], want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e19])
+    def test_unsampleable_intensity_raises(self, bad):
+        lam = np.ones((70, 4))
+        lam[66, 2] = bad
+        # mc_forecast silences the inf * 0 warning on the way to the error.
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericalError, match="cannot be sampled"):
+            _poisson_counts(lam, np.random.default_rng(0),
+                            lambda: np.random.default_rng(1))
+
+
 class TestStabilizerConfig:
     def test_defaults(self):
         stab = StabilizerConfig()
@@ -222,6 +321,35 @@ class TestMcForecast:
         for es, el in zip(short, long):
             assert np.array_equal(es.counts, el.counts)
             assert np.array_equal(es.intensities, el.intensities)
+
+    def test_draw_count_invariance_at_high_intensities(self):
+        # As above, with counts on both sides of the cut-off and more draws
+        # than one slab.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30, init=HIGH_INIT)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        small = mc_forecast(run, spec, 3, 10, StabilizerConfig(), rng_seed=3)
+        large = mc_forecast(run, spec, 3, 150, StabilizerConfig(), rng_seed=3)
+        assert 0.0 < np.mean(large[0].intensities >= INVERSION_CUTOFF) < 1.0
+        for es, el in zip(small, large):
+            assert np.array_equal(es.counts, el.counts[:10])
+
+    def test_fallback_streams_only_where_needed(self, monkeypatch):
+        # At high intensities each horizon adds its fallback stream, keyed
+        # [seed, h, 3], to the 2H + 1.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30, init=HIGH_INIT)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        calls = []
+        make = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: calls.append(seed) or make(seed))
+        mc_forecast(run, spec, 4, 50, StabilizerConfig(), rng_seed=3)
+        assert sorted(c for c in calls if c[-1] == 3) == [
+            [3, h, 3] for h in range(1, 5)]
+        assert len(calls) == 3 * 4 + 1
 
     @pytest.mark.parametrize("n_draws", [10, 300])
     def test_generators_do_not_grow_with_draws(self, monkeypatch, n_draws):
@@ -327,6 +455,22 @@ class TestBatchedAgainstPerDraw:
         walk = mc_forecast(run, plain, 4, 70, stab, rng_seed=5)
         assert not np.allclose(walk[0].intensities, ens[0].intensities)
 
+    @pytest.mark.parametrize("stab", [StabilizerConfig(),
+                                      StabilizerConfig.disabled()],
+                             ids=["stabilized", "disabled"])
+    def test_high_intensities_match_per_draw_oracle(self, stab):
+        # Counts on both sides of the cut-off: the oracle inverts with
+        # scipy below it and draws from the fallback stream at and above.
+        w = make_w()
+        panel, _ = simulate_counts(w, t_len=30, init=HIGH_INIT)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        ens = mc_forecast(run, spec, 4, 70, stab, rng_seed=6)
+        lam, cnt = oracles.mc_forecast_per_draw(run, spec, 4, 70, stab, 6)
+        for h, e in enumerate(ens):
+            assert np.array_equal(e.counts, cnt[h])
+            assert np.allclose(e.intensities, lam[h], rtol=1e-12, atol=0.0)
+
     def test_short_future_w_rejected(self):
         w = make_w()
         panel, _ = simulate_counts(w, t_len=20)
@@ -335,6 +479,33 @@ class TestBatchedAgainstPerDraw:
         with pytest.raises(ValueError, match="future_w"):
             mc_forecast(run, spec, 3, 5, StabilizerConfig(), rng_seed=0,
                         future_w=[w, w])
+
+
+class TestCommonRandomNumbers:
+    """Criterion 10's stable regime over many forecast seeds: each count
+    inverts one uniform, so the raw and stabilized ensembles of a seed
+    share their random numbers, and at h <= 2 their mean intensities
+    differ by the stabilizer's effect alone, well under 1%."""
+
+    def test_stabilizer_is_a_no_op_at_short_horizons(self):
+        spec = PoissonSpec(recipe=DesignRecipe(),
+                           state_noise=StateNoiseSpec.constant(1e-5 * np.eye(3)))
+        g = GraphGen(kind="sbm", n_nodes=40, seed=0,
+                     params={"block_sizes": [20, 20], "p_in": 0.3,
+                             "p_out": 0.1})
+        w, _ = gen_graph(g)
+        paths = np.tile([0.3, 0.1, 0.1], (150, 1))
+        run = fit_poisson(gen_poisson_panel(w, paths, 150, seed=1), w, spec)
+        worst = 0.0
+        for seed in range(20):
+            raw = mc_forecast(run, spec, 2, 2000, StabilizerConfig.disabled(),
+                              seed)
+            stab = mc_forecast(run, spec, 2, 2000, StabilizerConfig(), seed)
+            for er, es in zip(raw, stab):
+                mr = er.intensities.mean(axis=0)
+                ms = es.intensities.mean(axis=0)
+                worst = max(worst, float(np.max(np.abs(ms - mr) / mr)))
+        assert worst < 0.01
 
 
 class TestCovariateForecast:
