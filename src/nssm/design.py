@@ -155,10 +155,16 @@ def build_design(w: WeightMatrix, y_lags: Sequence[np.ndarray],
 
 
 def _w_at(w_seq, t):
-    """W at t from one WeightMatrix, a sequence, or a sequence of one."""
+    """W at t from one WeightMatrix, a sequence of one, or a sequence with
+    a network for time t; a sequence with neither raises ValueError."""
     if isinstance(w_seq, WeightMatrix):
         return w_seq
-    return w_seq[t] if len(w_seq) > 1 else w_seq[0]
+    if len(w_seq) == 1:
+        return w_seq[0]
+    if not 0 <= t < len(w_seq):
+        raise ValueError(f"network sequence of length {len(w_seq)} has no "
+                         f"network for time {t}")
+    return w_seq[t]
 
 
 def _z_at(z, t):

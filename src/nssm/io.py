@@ -59,6 +59,9 @@ def read_panel_csv(path) -> np.ndarray:
     if not rows or rows[0][0] != "time":
         raise ValueError("panel CSV must start with a 'time,node_*' header")
     body = sorted(rows[1:], key=lambda r: int(r[0]))
+    if [int(r[0]) for r in body] != list(range(len(body))):
+        raise ValueError("panel CSV times must be 0, 1, ..., T - 1, "
+                         "each exactly once")
     return np.asarray([[float(v) for v in row[1:]] for row in body])
 
 

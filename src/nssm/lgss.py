@@ -264,8 +264,10 @@ def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
       Koopman 2015). The condition estimate is lambda_max(C), the
       condition number of R^-1/2 S R^-1/2 (its other eigenvalues are 1),
       and exactly cond(S) for R = r I.
-    - gain form with Joseph-form covariance otherwise (full R, or K >= M),
-      O(M^3) for the Cholesky factor of S.
+    - gain form otherwise (full R, or K >= M): with S = L L', one numpy
+      solve gives a = L^-1 v and B = L^-1 H P, and the posterior is
+      (m + B'a, P - B'B), the standard update P - P H' S^-1 H P without
+      the Joseph form; v' S^-1 v = a'a (Durbin & Koopman 2012, sec. 4.3).
 
     Raises SingularInnovationError when the form's condition estimate
     exceeds 1e14 or is not finite.
@@ -291,13 +293,10 @@ def _step_gain(m, p, h, r, y):
     # numpy solves, not scipy's: scipy loads its own OpenBLAS, and handing
     # work between the two libraries' thread pools costs milliseconds.
     half = np.linalg.solve(chol, np.column_stack([v, h @ p]))
+    a, b = half[:, 0], half[:, 1:]
     loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
-                     + 2.0 * float(np.sum(np.log(diag)))
-                     + float(half[:, 0] @ half[:, 0]))
-    gain = np.linalg.solve(chol.T, half[:, 1:]).T
-    i_kh = np.eye(m.shape[0]) - gain @ h
-    cov = _symmetrize(i_kh @ p @ i_kh.T + gain @ r_mat @ gain.T)
-    return m + gain @ v, cov, loglik
+                     + 2.0 * float(np.sum(np.log(diag))) + float(a @ a))
+    return m + b.T @ a, _symmetrize(p - b.T @ b), loglik
 
 
 def _step_collapsed(m, p, h, r, y):

@@ -10,8 +10,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .design import spillover_matrix
-from .graph import Adjacency, WeightMatrix, operator_norm, row_normalize
+from .design import _w_at, spillover_matrix
+from .graph import Adjacency, operator_norm, row_normalize
 from .lgss import _check_psd, _symmetrize
 
 ETA_GENERATION_CAP = 30.0
@@ -68,10 +68,12 @@ class CoeffPathSpec:
         rw_sd = np.asarray(self.rw_sd, dtype=float)
         if init.shape != (self.k,) or rw_sd.shape != (self.k,):
             raise ValueError("init and rw_sd must have length k")
-        if np.any(rw_sd < 0):
-            raise ValueError("rw_sd must be nonnegative")
-        if self.stability_multiplier <= 0:
-            raise ValueError("stability_multiplier must be positive")
+        if not np.all(np.isfinite(init)):
+            raise ValueError("init must be finite")
+        if not np.all((rw_sd >= 0) & np.isfinite(rw_sd)):
+            raise ValueError("rw_sd must be finite and nonnegative")
+        if not 0 < self.stability_multiplier < np.inf:
+            raise ValueError("stability_multiplier must be finite and positive")
         if self.sparse_jumps is not None:
             rate = self.sparse_jumps.get("rate", 0.0)
             if not 0.0 <= rate <= 1.0:
@@ -228,29 +230,22 @@ def _check_paths(paths, t_len):
     return paths
 
 
-def _w_entries(w_or_seq, t):
-    if isinstance(w_or_seq, WeightMatrix):
-        return w_or_seq.entries
-    if isinstance(w_or_seq, np.ndarray) and w_or_seq.ndim == 2:
-        return w_or_seq
-    item = w_or_seq[min(t, len(w_or_seq) - 1)]
-    return item.entries if isinstance(item, WeightMatrix) else np.asarray(item)
-
-
 def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
                        z=None, gamma=None, y0=None, burn_in: int = 0):
     """Simulate Y_t = b0 1 + b1 W Y_{t-1} + b2 Y_{t-1} + Z gamma + eps.
 
     ``paths`` columns are (beta0, beta1, beta2[, ...]); eps is
-    N(0, sigma2 I). Emits an instability warning (not an error) when
-    max_t of the spillover operator norm exceeds 1.
+    N(0, sigma2 I). ``w_or_seq`` is one WeightMatrix or a sequence that
+    ``design._w_at`` reads: one network, or one for each of the
+    t_len + burn_in steps. Emits an instability warning (not an error)
+    when max_t of the spillover operator norm exceeds 1.
     """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError("sigma2 must be finite and nonnegative")
     total = t_len + burn_in
     paths = _check_paths(paths, total)
     rng = np.random.default_rng(seed)
-    n = _w_entries(w_or_seq, 0).shape[0]
+    n = _w_at(w_or_seq, 0).n_nodes
     y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float)
     sd = np.sqrt(sigma2)
 
@@ -258,7 +253,7 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
     out[0] = y
     max_norm = 0.0
     for t in range(1, total):
-        w_t = _w_entries(w_or_seq, t)
+        w_t = _w_at(w_or_seq, t).entries
         b0, b1, b2 = paths[t, 0], paths[t, 1], paths[t, 2]
         # Cheap sufficient check first: sqrt(norm_1 * norm_inf) bounds the
         # operator norm, so the SVD runs only near or over the stability
@@ -285,19 +280,20 @@ def gen_poisson_panel(w_or_seq, paths, t_len: int, seed: int,
     """Simulate counts with the same recursion on the log-intensity scale.
 
     eta_t = b0 1 + b1 W Y_{t-1} + b2 Y_{t-1}; Y_t | eta_t are
-    conditionally independent Poisson(exp(eta_t)). Raises if any eta
-    exceeds the hard generation cap (the DGP itself is un-generable).
+    conditionally independent Poisson(exp(eta_t)); ``w_or_seq`` as in
+    ``gen_gaussian_panel``. Raises if any eta exceeds the hard generation
+    cap (the DGP itself is un-generable).
     """
     total = t_len + burn_in
     paths = _check_paths(paths, total)
     rng = np.random.default_rng(seed)
-    n = _w_entries(w_or_seq, 0).shape[0]
+    n = _w_at(w_or_seq, 0).n_nodes
     eta_init = np.zeros(n) if eta0 is None else np.asarray(eta0, dtype=float)
 
     counts = np.empty((total, n), dtype=np.int64)
     counts[0] = rng.poisson(np.exp(np.clip(eta_init, -50, ETA_GENERATION_CAP)))
     for t in range(1, total):
-        w_t = _w_entries(w_or_seq, t)
+        w_t = _w_at(w_or_seq, t).entries
         b0, b1, b2 = paths[t, 0], paths[t, 1], paths[t, 2]
         y_prev = counts[t - 1].astype(float)
         eta = b0 + b1 * (w_t @ y_prev) + b2 * y_prev

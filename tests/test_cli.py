@@ -9,7 +9,8 @@ import pytest
 
 import nssm
 from nssm.cli import main
-from nssm.io import read_matrix_csv, read_panel_csv, sha256_file
+from nssm.io import (read_matrix_csv, read_panel_csv, sha256_file,
+                     write_panel_csv)
 
 
 def write_json(path, obj):
@@ -308,6 +309,45 @@ class TestConfigErrors:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (tmp_path / "o" / "filtered_means.csv").exists()
 
+    @pytest.mark.parametrize("setting", [
+        {"sigma2": np.nan},
+        {"coeffs": {"init": [0.1, np.nan, 0.3]}},
+        {"coeffs": {"rw_sd": [0.0, np.nan, 0.005]}},
+        {"coeffs": {"c": np.nan}},
+    ], ids=["sigma2", "init", "rw_sd", "c"])
+    def test_nan_simulation_setting_exit_2(self, tmp_path, capsys, sim_config,
+                                           setting):
+        cfg = json.loads(Path(sim_config).read_text())
+        for key, value in setting.items():
+            cfg[key] = {**cfg[key], **value} if key == "coeffs" else value
+        code = run_cli(["simulate", "--config",
+                        write_json(tmp_path / "c.json", cfg),
+                        "--out", str(tmp_path / "o"), "--seed", "0"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o" / "panel.csv").exists()
+
+    @pytest.mark.parametrize("drop, repeat", [(4, None), (None, 2)],
+                             ids=["gap", "repeat"])
+    def test_panel_times_not_consecutive_exit_2(self, tmp_path, capsys,
+                                                sim_config, fit_config,
+                                                drop, repeat):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        header, *rows = (sim_out / "panel.csv").read_text().splitlines()[:11]
+        rows = [row for t, row in enumerate(rows) if t != drop]
+        if repeat is not None:
+            rows.append(rows[repeat])
+        panel_csv = tmp_path / "panel.csv"
+        panel_csv.write_text("\n".join([header] + rows) + "\n")
+        code = run_cli(["fit", "--config", fit_config,
+                        "--out", str(tmp_path / "o"), "--seed", "0",
+                        "--panel", str(panel_csv),
+                        "--weight", str(sim_out / "weight.csv")])
+        assert code == 2
+        assert "times" in json.loads(capsys.readouterr().err)["message"]
+
     def test_overflowing_forecast_exit_3(self, tmp_path, capsys, sim_config):
         # Coefficients (40, 40, 40) held by a tiny prior and Q: the
         # forecast grows by a factor 80 a step and overflows long before
@@ -347,6 +387,23 @@ class TestConfigErrors:
         lines = out.stderr.splitlines()
         assert len(lines) == 1, out.stderr
         assert json.loads(lines[0])["error"] == "numerical"
+
+
+class TestPanelCsv:
+    def test_round_trip_in_any_row_order(self, tmp_path):
+        panel = np.random.default_rng(0).standard_normal((6, 3))
+        write_panel_csv(tmp_path / "p.csv", panel)
+        assert np.array_equal(read_panel_csv(tmp_path / "p.csv"), panel)
+        header, *rows = (tmp_path / "p.csv").read_text().splitlines()
+        (tmp_path / "q.csv").write_text("\n".join([header] + rows[::-1]))
+        assert np.array_equal(read_panel_csv(tmp_path / "q.csv"), panel)
+
+    @pytest.mark.parametrize("times", [[0, 1, 3], [0, 1, 1, 2], [1, 2, 3]])
+    def test_times_must_be_0_to_t_minus_1(self, tmp_path, times):
+        rows = [f"{t},0.5" for t in times]
+        (tmp_path / "p.csv").write_text("\n".join(["time,node_0"] + rows))
+        with pytest.raises(ValueError, match="times"):
+            read_panel_csv(tmp_path / "p.csv")
 
 
 class TestIrfAndPerturb:

@@ -67,6 +67,11 @@ class TestStabilityReport:
         rep = stability_report(b1, b2, w)
         assert np.all(rep.spectral_radii <= rep.op_norms + 1e-8)
 
+    def test_two_networks_for_five_steps_raises(self):
+        w = make_w()
+        with pytest.raises(ValueError, match="no network for time 2"):
+            stability_report(np.full(5, 0.3), np.full(5, 0.6), [w, w])
+
     def test_sequence_of_one_is_static(self):
         # fit_gaussian takes [w] as a static network; so does the report.
         rng = np.random.default_rng(3)

@@ -103,6 +103,13 @@ class TestFitGaussian:
         with pytest.raises(ValueError, match="non-finite"):
             fit_gaussian(panel, w, None, default_spec())
 
+    def test_two_networks_for_ten_steps_raises(self):
+        # Neither one network nor one for each time: no silent carry-over.
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=10)
+        with pytest.raises(ValueError, match="no network for time 2"):
+            fit_gaussian(panel, [w, w], None, default_spec())
+
     def test_too_short_panel(self):
         w = make_w()
         with pytest.raises(ValueError, match="at least"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nssm import lgss
 from nssm.lgss import (
     Belief,
     FilterRun,
@@ -235,6 +236,52 @@ class TestCollapsedUpdate:
         for b, (mean, cov) in zip(run.beliefs_filtered, oracle_f):
             assert np.max(np.abs(b.mean - mean)) < 1e-4 * max(1.0, np.max(np.abs(mean)))
             assert np.max(np.abs(b.cov - cov)) < 1e-4 * max(1.0, np.max(np.abs(cov)))
+
+
+def gain_problem(seed, m, extra, full_r, decades):
+    """One update with state dimension K = m + extra >= M = m, a positive
+    definite prior and noise variances spread over ``decades`` decades;
+    R is a vector, or a full matrix with those eigenvalues."""
+    rng = np.random.default_rng(seed)
+    k = m + extra
+    m0 = rng.standard_normal(k)
+    a = rng.standard_normal((k, k))
+    p0 = a @ a.T + 0.1 * np.eye(k)
+    h = rng.standard_normal((m, k))
+    r = 10.0 ** rng.uniform(-decades / 2, decades / 2, m)
+    if full_r:
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        r = (u * r) @ u.T
+        r = 0.5 * (r + r.T)
+    y = h @ m0 + rng.standard_normal(m)
+    return m0, p0, h, r, y
+
+
+class TestGainUpdate:
+    """K >= M, or a full R, takes the gain form P - B'B, B = L^-1 H P."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 6),
+           st.booleans(), st.sampled_from([0, 2, 4, 6, 8]))
+    @settings(max_examples=80, deadline=None)
+    def test_property_matches_joint_conditioning(self, seed, m, extra,
+                                                 full_r, decades):
+        # One step of the joint oracle with Q = 0 conditions the prior on
+        # y. Over 3,000 seeds the worst relative errors were 4e-14 (mean),
+        # 3e-12 (covariance) and 2e-13 (log-likelihood); the bound leaves
+        # a margin of 300.
+        m0, p0, h, r, y = gain_problem(seed, m, extra, full_r, decades)
+        k = m0.shape[0]
+        mean, cov, ll = lgss._step(m0, p0, h, r, y)
+        r_mat = r if r.ndim == 2 else np.diag(r)
+        args = (m0, p0, [np.zeros((k, k))], [h], [r_mat], [y])
+        ((want_mean, want_cov),), _ = joint_gaussian_filter_smoother(*args)
+        want_ll = joint_gaussian_loglik(*args)
+        assert np.max(np.abs(mean - want_mean)) <= 1e-9 * max(
+            1.0, np.max(np.abs(want_mean)))
+        assert np.max(np.abs(cov - want_cov)) <= 1e-9 * np.max(np.abs(want_cov))
+        assert abs(ll - want_ll) <= 1e-9 * max(1.0, abs(want_ll))
+        eig = np.linalg.eigvalsh(cov)
+        assert eig[0] >= -1e-12 * eig[-1]
 
 
 class TestTwoBlock:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nssm.graph import invariant_vector
+from nssm.graph import WeightMatrix, invariant_vector
 from nssm.simulate import (
     CoeffPathSpec,
     EdgePathSpec,
@@ -123,6 +123,18 @@ class TestGenCoeffPaths:
         assert np.allclose(p1[:, 0], p0[:, 0])
         assert np.allclose(p1[:, 1:], 1.1 * p0[:, 1:])
 
+    @pytest.mark.parametrize("field, value", [
+        ("init", [0.1, np.nan, 0.3]),
+        ("rw_sd", [0.0, np.nan, 0.01]),
+        ("rw_sd", [0.0, np.inf, 0.01]),
+        ("stability_multiplier", np.nan),
+    ])
+    def test_rejects_non_finite_setting(self, field, value):
+        kwargs = {"k": 3, "init": [0.1, 0.3, 0.3], "rw_sd": np.zeros(3),
+                  field: value}
+        with pytest.raises(ValueError, match=field):
+            CoeffPathSpec(**kwargs)
+
     def test_jump_ground_truth_recorded(self):
         spec = CoeffPathSpec(
             k=2, init=np.zeros(2), rw_sd=np.zeros(2),
@@ -136,14 +148,15 @@ class TestGenCoeffPaths:
 class TestGenGaussianPanel:
     def test_iid_case_moments(self):
         paths = np.tile([1.5, 0.0, 0.0], (400, 1))
-        w = np.zeros((20, 20))
+        w = WeightMatrix(np.zeros((20, 20)))
         panel = gen_gaussian_panel(w, paths, 0.25, 400, seed=0)
         body = panel[1:]
         assert abs(body.mean() - 1.5) < 3 * 0.5 / np.sqrt(body.size)
 
     def test_deterministic_halving(self):
         paths = np.tile([0.0, 0.25, 0.25], (6, 1))
-        w = np.eye(3)  # with W = I, b1 + b2 = 0.5 acts as plain decay
+        # With W = I, b1 + b2 = 0.5 acts as plain decay.
+        w = WeightMatrix(np.eye(3))
         panel = gen_gaussian_panel(w, paths, 0.0, 6, seed=0, y0=np.ones(3))
         for t in range(6):
             assert np.allclose(panel[t], 0.5 ** t)
@@ -171,7 +184,7 @@ class TestGenGaussianPanel:
 
     def test_instability_warning(self):
         paths = np.tile([0.0, 0.0, 1.2], (10, 1))
-        w = np.zeros((4, 4))
+        w = WeightMatrix(np.zeros((4, 4)))
         with pytest.warns(RuntimeWarning, match="unstable"):
             gen_gaussian_panel(w, paths, 0.1, 10, seed=0)
 
@@ -187,22 +200,52 @@ class TestGenGaussianPanel:
         assert np.max(np.abs(panel)) < 50
 
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_sigma2(self, sigma2):
+        paths = np.tile([0.0, 0.3, 0.3], (10, 1))
+        with pytest.raises(ValueError, match="sigma2"):
+            gen_gaussian_panel(WeightMatrix(np.eye(3)), paths, sigma2, 10,
+                               seed=0)
+
+
+class TestNetworkSequence:
+    """The generators read the network at t by the fits' rule."""
+
+    PATHS = np.tile([0.1, 0.05, 0.05], (10, 1))
+
+    def test_one_network_per_step_matches_static(self):
+        w = WeightMatrix(np.eye(3))
+        assert np.array_equal(
+            gen_gaussian_panel([w] * 10, self.PATHS, 0.1, 10, seed=0),
+            gen_gaussian_panel(w, self.PATHS, 0.1, 10, seed=0))
+        assert np.array_equal(
+            gen_poisson_panel([w] * 10, self.PATHS, 10, seed=0),
+            gen_poisson_panel(w, self.PATHS, 10, seed=0))
+
+    def test_two_networks_for_ten_steps_raises(self):
+        w = WeightMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="no network for time 2"):
+            gen_gaussian_panel([w, w], self.PATHS, 0.1, 10, seed=0)
+        with pytest.raises(ValueError, match="no network for time 2"):
+            gen_poisson_panel([w, w], self.PATHS, 10, seed=0)
+
+
 class TestGenPoissonPanel:
     def test_iid_poisson_one(self):
         paths = np.tile([0.0, 0.0, 0.0], (300, 1))
-        w = np.zeros((20, 20))
+        w = WeightMatrix(np.zeros((20, 20)))
         counts = gen_poisson_panel(w, paths, 300, seed=0)
         assert abs(counts[1:].mean() - 1.0) < 3.0 / np.sqrt(counts[1:].size)
 
     def test_negative_intercept_zero_counts(self):
         paths = np.tile([-20.0, 0.0, 0.0], (50, 1))
-        w = np.zeros((5, 5))
+        w = WeightMatrix(np.zeros((5, 5)))
         counts = gen_poisson_panel(w, paths, 50, seed=1)
         assert np.all(counts[1:] == 0)
 
     def test_positive_autocorrelation_with_own_lag(self):
         paths = np.tile([0.2, 0.0, 0.15], (600, 1))
-        w = np.zeros((10, 10))
+        w = WeightMatrix(np.zeros((10, 10)))
         counts = gen_poisson_panel(w, paths, 600, seed=2)
         sums = counts.sum(axis=1).astype(float)
         x, y = sums[:-1], sums[1:]
@@ -211,13 +254,13 @@ class TestGenPoissonPanel:
 
     def test_generation_cap_error(self):
         paths = np.tile([2.0, 0.0, 2.0], (50, 1))
-        w = np.zeros((5, 5))
+        w = WeightMatrix(np.zeros((5, 5)))
         with pytest.raises(ValueError, match="generation cap"):
             gen_poisson_panel(w, paths, 50, seed=3)
 
     def test_deterministic(self):
         paths = np.tile([0.3, 0.0, 0.1], (40, 1))
-        w = np.zeros((6, 6))
+        w = WeightMatrix(np.zeros((6, 6)))
         a = gen_poisson_panel(w, paths, 40, seed=4)
         b = gen_poisson_panel(w, paths, 40, seed=4)
         assert np.array_equal(a, b)
