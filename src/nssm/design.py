@@ -180,16 +180,32 @@ def design_stack(w_seq, panel: np.ndarray, z,
     """The designs of observation times t = p, ..., T - 1, stacked as a
     (T - p) x N x K array; the design at t is ``build_design`` of the
     network and covariates at t (``_w_at``, ``_z_at``) and the lags
-    panel[t - 1], ..., panel[t - p]."""
+    panel[t - 1], ..., panel[t - p].
+
+    With one network and no Z or a static Z, each lag enters
+    ``design_columns`` as a (T - p) x 1 x N stack, so each network
+    column is one stacked product whose rows are the per-step
+    ``y @ W'``, bit for bit on the BLAS builds tested (a single
+    (T - p) x N gemm would sum in another order). A network or Z per
+    time step takes one ``design_columns`` call per t.
+    """
     p = recipe.lag_order
     t_len, n = panel.shape
     z = None if z is None else np.asarray(z, dtype=float)
     out = np.empty((t_len - p, n, recipe.n_cols))
-    for i, t in enumerate(range(p, t_len)):
-        lags = [panel[t - l] for l in range(1, p + 1)]
-        for j, col in enumerate(design_columns(_w_at(w_seq, t), lags,
-                                               _z_at(z, t), recipe)):
-            out[i, :, j] = col
+    one_w = isinstance(w_seq, WeightMatrix) or len(w_seq) == 1
+    if one_w and (z is None or z.ndim == 2):
+        lags = [panel[p - l:t_len - l, None, :] for l in range(1, p + 1)]
+        rows = out[:, None]
+        for j, col in enumerate(design_columns(_w_at(w_seq, p), lags, z,
+                                               recipe)):
+            rows[..., j] = col
+    else:
+        for i, t in enumerate(range(p, t_len)):
+            lags = [panel[t - l] for l in range(1, p + 1)]
+            for j, col in enumerate(design_columns(_w_at(w_seq, t), lags,
+                                                   _z_at(z, t), recipe)):
+                out[i, :, j] = col
     if not np.all(np.isfinite(out)):
         raise ValueError("design matrix entries must be finite")
     return out

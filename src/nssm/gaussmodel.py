@@ -13,7 +13,7 @@ import numpy as np
 from .design import (DesignRecipe, _w_at, build_design, design_columns,
                      design_stack, spillover_matrix)
 from .lgss import (Belief, FilterRun, NumericalError, StateNoiseSpec, _as_r,
-                   _state_q, _step, _time_update, run_filter)
+                   _collapsed_core, _state_q, _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -134,7 +134,9 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     ``blocks[h - 1]`` of the returned H x S x N array; no S x N x K design
     is formed. ``observe(h - 1, block, rng)`` turns the block in place
     into the horizon's output and returns the S x N observations that
-    become the newest lag. The W and z of each horizon are those of
+    become the newest lag; an integer block (Poisson counts) is cast to
+    float64 once per slab, not in each product with W or theta (counts
+    are exact in float64). The W and z of each horizon are those of
     ``_horizon_inputs``.
 
     The random streams are keyed by what they draw, not by draw:
@@ -174,7 +176,8 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
         for start in range(0, n_draws, _DRAW_SLAB):
             rows = slice(start, start + _DRAW_SLAB)
             eta, th = blocks[h, rows], theta[rows]
-            slab_lags = [y[rows] if y.ndim == 2 else y for y in lags]
+            slab_lags = [y[rows].astype(float, copy=False) if y.ndim == 2
+                         else y for y in lags]
             for j, col in enumerate(design_columns(w_h, slab_lags, z_h, recipe)):
                 if j == 0:
                     np.multiply(col, th[:, :1], out=eta)
@@ -193,26 +196,51 @@ def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:
 
     Observation times run from t = p (0-based) to T - 1; the design at t
     uses lags panel[t-1], ..., panel[t-p] and the network at time t.
+    With diagonal R (scalar or diagonal noise) and K < N, X_t' R^-1 X_t
+    does not depend on the filter's state, so it is formed for all t in
+    one stacked product before the filter runs; each step then costs
+    O(NK) for its residual v = y_t - X_t m, X_t' R^-1 v and v' R^-1 v,
+    and K x K algebra for the update (``lgss._collapsed_core``). X' R^-1 v
+    comes from the residual, not as X' R^-1 y - X' R^-1 X m, which can
+    cancel when the fit is close to y. Full R, or K >= N, takes
+    ``lgss._step`` at each t.
     """
     panel = np.asarray(panel, dtype=float)
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains non-finite values")
     r = spec.obs_noise.block_r(panel.shape[1])
-    return _fit_panel(panel, w_seq, z, spec,
-                      lambda x_t, m, p, y_t: _step(m, p, x_t, r, y_t))
+    return _fit_panel(panel, w_seq, z, spec, partial(_gaussian_steps, r))
 
 
-def _fit_panel(panel, w_seq, z, spec, update) -> FilterRun:
+def _gaussian_steps(r, x, y):
+    """fit_gaussian's measurement step over the stacked designs ``x`` and
+    observations ``y``, for observation noise ``r`` as ``block_r`` gives it."""
+    if r.ndim == 2 or x.shape[2] >= x.shape[1]:
+        return lambda i, m, p: _step(m, p, x[i], r, y[i])
+    x_r = x / r[:, None]
+    info = x_r.transpose(0, 2, 1) @ x
+    log_det_r = float(np.sum(np.log(r)))
+
+    def collapsed_step(i, m, p):
+        v = y[i] - x[i] @ m
+        return _collapsed_core(m, p, info[i], x_r[i].T @ v, float(v @ (v / r)),
+                               log_det_r, len(v))
+    return collapsed_step
+
+
+def _fit_panel(panel, w_seq, z, spec, steps) -> FilterRun:
     """``run_filter`` of a panel on its designs from t = p on, with the
     context the forecasters read; shared by fit_gaussian and fit_poisson.
-    ``update(X_t, m, P, y_t) -> (m, P, loglik)`` is the measurement step."""
+    ``steps(X, Y)`` takes the stacked designs (``design_stack``) and
+    observations panel[p:] and returns the measurement step
+    ``update(i, m, P) -> (m, P, loglik)`` of ``run_filter``."""
     t_len, p = panel.shape[0], spec.recipe.lag_order
     if t_len < p + 1:
         raise ValueError(f"panel needs at least p + 1 = {p + 1} rows")
     init = spec.initial_belief()
     x, y = design_stack(w_seq, panel, z, spec.recipe), panel[p:]
     run = run_filter(init.mean, init.cov, t_len - p, spec.state_noise,
-                     lambda i, m, cov: update(x[i], m, cov, y[i]), t0=p)
+                     steps(x, y), t0=p)
     run.context = {"panel": panel, "w_seq": w_seq, "z": z, "spec": spec,
                    "obs_times": list(range(p, t_len))}
     return run

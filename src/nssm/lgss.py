@@ -3,7 +3,8 @@
 One filter kernel, ``run_filter``, serves all four models. It predicts
 with ``_time_update``, stores the moments in arrays and calls the model's
 measurement step, which is all a model passes in: one ``_step`` for the
-Gaussian network TVP-VAR, a pseudo-observation ``_step`` for the Poisson
+Gaussian network TVP-VAR (with diagonal R, ``_collapsed_core`` on its
+precomputed X' R^-1 X), a pseudo-observation ``_step`` for the Poisson
 DGLM, an edge then a node ``_step`` for the joint node-edge model, and
 the sweep of conditional ``_step``s for the CP tensor state. The public
 ``predict`` and ``update`` take one step on validated ``Belief`` and
@@ -263,7 +264,10 @@ def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
       cost is O(M K^2) (Durbin & Koopman 2012, ch. 6; Jungbacker &
       Koopman 2015). The condition estimate is lambda_max(C), the
       condition number of R^-1/2 S R^-1/2 (its other eigenvalues are 1),
-      and exactly cond(S) for R = r I.
+      and exactly cond(S) for R = r I. ``_step_collapsed`` reduces the
+      block to H' R^-1 H, H' R^-1 v, v' R^-1 v and log|R| in O(M K^2);
+      ``_collapsed_core`` does the rest in O(K^3). A fit that has
+      H' R^-1 H for every step beforehand calls the core directly.
     - gain form otherwise (full R, or K >= M): with S = L L', one numpy
       solve gives a = L^-1 v and B = L^-1 H P, and the posterior is
       (m + B'a, P - B'B), the standard update P - P H' S^-1 H P without
@@ -279,7 +283,8 @@ def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
 
 def _step_gain(m, p, h, r, y):
     r_mat = np.diag(r) if r.ndim == 1 else r
-    s = _symmetrize(h @ p @ h.T + r_mat)
+    hp = h @ p
+    s = _symmetrize(hp @ h.T + r_mat)
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
@@ -292,7 +297,7 @@ def _step_gain(m, p, h, r, y):
     v = y - h @ m
     # numpy solves, not scipy's: scipy loads its own OpenBLAS, and handing
     # work between the two libraries' thread pools costs milliseconds.
-    half = np.linalg.solve(chol, np.column_stack([v, h @ p]))
+    half = np.linalg.solve(chol, np.column_stack([v, hp]))
     a, b = half[:, 0], half[:, 1:]
     loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
                      + 2.0 * float(np.sum(np.log(diag))) + float(a @ a))
@@ -300,25 +305,36 @@ def _step_gain(m, p, h, r, y):
 
 
 def _step_collapsed(m, p, h, r, y):
+    v = y - h @ m
+    h_r = h / r[:, None]
+    return _collapsed_core(m, p, h_r.T @ h, h_r.T @ v, float(v @ (v / r)),
+                           float(np.sum(np.log(r))), len(v))
+
+
+def _collapsed_core(m, p, info, score, v_r_v, log_det_r, n_obs):
+    """The collapsed update from the block's K x K sufficient statistics:
+    ``info`` = H' R^-1 H, ``score`` = H' R^-1 v, ``v_r_v`` = v' R^-1 v and
+    ``log_det_r`` = log|R| for the innovation v = y - H m of ``n_obs``
+    observations (see ``_step``); the cost is O(K^3) whatever the block
+    size."""
     # Square root of P from a clipped eigendecomposition: P may be singular.
     lam, vec = np.linalg.eigh(p)
-    sqrt_p = vec * np.sqrt(np.clip(lam, 0.0, None))
-    hl = h @ sqrt_p
-    hl_r = hl / r[:, None]
-    c_mat = np.eye(m.shape[0]) + hl.T @ hl_r
-    if not np.all(np.isfinite(c_mat)):
+    sqrt_p = vec * np.sqrt(np.maximum(lam, 0.0))
+    c_mat = sqrt_p.T @ info @ sqrt_p
+    c_mat.flat[::m.shape[0] + 1] += 1.0
+    # The sum is finite iff every entry is, short of entries near 1e308,
+    # which the condition check rejects anyway.
+    if not math.isfinite(c_mat.sum()):
         raise SingularInnovationError("innovation covariance not finite",
                                       condition_estimate=math.inf)
     c_lam, c_vec = np.linalg.eigh(c_mat)
     _check_condition(float(c_lam[-1]))
-    v = y - h @ m
-    a = hl_r.T @ v
+    a = sqrt_p.T @ score
     # C^-1 = U diag(1 / lam) U'; fold C^-1/2 into the loading L U.
     l_c = (sqrt_p @ c_vec) / np.sqrt(c_lam)
     a_c = (c_vec.T @ a) / np.sqrt(c_lam)
-    loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
-                     + float(np.sum(np.log(r))) + float(np.sum(np.log(c_lam)))
-                     + float(v @ (v / r)) - float(a_c @ a_c))
+    loglik = -0.5 * (n_obs * math.log(2.0 * math.pi) + log_det_r
+                     + float(np.sum(np.log(c_lam))) + v_r_v - float(a_c @ a_c))
     return m + l_c @ a_c, _symmetrize(l_c @ l_c.T), loglik
 
 

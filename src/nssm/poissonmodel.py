@@ -119,14 +119,16 @@ def fit_poisson(panel: np.ndarray, w_seq, spec: PoissonSpec,
     one-step predictive intensity) is recorded.
     """
 
-    def pseudo_obs_step(x_t, m_pred, p_pred, y_t):
-        eta_hat = np.clip(x_t @ m_pred, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
-        lam_hat = np.clip(np.exp(eta_hat), LAMBDA_FLOOR, None)
-        m, p, _ = _step(m_pred, p_pred, x_t, 1.0 / lam_hat,
-                        eta_hat + (y_t - lam_hat) / lam_hat)
-        return m, p, _poisson_loglik(y_t, lam_hat)
+    def steps(x, y):
+        def pseudo_obs_step(i, m_pred, p_pred):
+            eta_hat = np.clip(x[i] @ m_pred, -BASELINE_ETA_CAP, BASELINE_ETA_CAP)
+            lam_hat = np.clip(np.exp(eta_hat), LAMBDA_FLOOR, None)
+            m, p, _ = _step(m_pred, p_pred, x[i], 1.0 / lam_hat,
+                            eta_hat + (y[i] - lam_hat) / lam_hat)
+            return m, p, _poisson_loglik(y[i], lam_hat)
+        return pseudo_obs_step
 
-    return _fit_panel(_check_counts(panel), w_seq, z, spec, pseudo_obs_step)
+    return _fit_panel(_check_counts(panel), w_seq, z, spec, steps)
 
 
 def _poisson_counts(lam: np.ndarray, rng: np.random.Generator,

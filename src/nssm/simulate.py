@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -76,8 +77,18 @@ class CoeffPathSpec:
             raise ValueError("stability_multiplier must be finite and positive")
         if self.sparse_jumps is not None:
             rate = self.sparse_jumps.get("rate", 0.0)
-            if not 0.0 <= rate <= 1.0:
+            low = self.sparse_jumps.get("low", 0.2)
+            high = self.sparse_jumps.get("high", 0.5)
+            if not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
                 raise ValueError("jump rate must be in [0, 1]")
+            if not (isinstance(low, Real) and isinstance(high, Real)
+                    and -np.inf < low <= high < np.inf):
+                raise ValueError("jump low and high must be finite with low <= high")
+            indices = self.sparse_jumps.get("indices", range(self.k))
+            if np.ndim(indices) != 1 or not all(
+                    isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                    and 0 <= j < self.k for j in indices):
+                raise ValueError(f"jump indices must be integers in [0, {self.k})")
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "rw_sd", rw_sd)
 
@@ -242,6 +253,8 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
     """
     if not 0 <= sigma2 < np.inf:
         raise ValueError("sigma2 must be finite and nonnegative")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     total = t_len + burn_in
     paths = _check_paths(paths, total)
     rng = np.random.default_rng(seed)
@@ -284,6 +297,8 @@ def gen_poisson_panel(w_or_seq, paths, t_len: int, seed: int,
     ``gen_gaussian_panel``. Raises if any eta exceeds the hard generation
     cap (the DGP itself is un-generable).
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     total = t_len + burn_in
     paths = _check_paths(paths, total)
     rng = np.random.default_rng(seed)

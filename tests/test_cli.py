@@ -254,6 +254,29 @@ class TestConfigErrors:
         err = json.loads(capsys.readouterr().err)
         assert "weibull" in err["message"]
 
+    @pytest.mark.parametrize("change, word", [
+        ({"coeffs": {"sparse_jumps": {"rate": 0.5, "low": float("nan")}}},
+         "low"),
+        ({"coeffs": {"sparse_jumps": {"rate": 0.5, "high": float("nan")}}},
+         "high"),
+        ({"coeffs": {"sparse_jumps": {"rate": 0.5, "indices": [7]}}},
+         "indices"),
+        ({"burn_in": -5}, "burn_in"),
+    ], ids=["nan_low", "nan_high", "bad_index", "negative_burn_in"])
+    def test_bad_simulation_setting_exit_2(self, tmp_path, capsys, change,
+                                           word):
+        cfg = {"model": "gaussian", "T": 20,
+               "graph": {"kind": "sbm", "n_nodes": 6,
+                         "params": {"block_sizes": [3, 3], "p_in": 0.9,
+                                    "p_out": 0.1}},
+               **change}
+        out = tmp_path / "o"
+        code = run_cli(["simulate", "--config", write_json(tmp_path / "c.json", cfg),
+                        "--out", str(out), "--seed", "0"])
+        assert code == 2
+        assert word in json.loads(capsys.readouterr().err)["message"]
+        assert not (out / "panel.csv").exists()
+
     def test_bad_sigma2(self, tmp_path, capsys, sim_config):
         sim_out = tmp_path / "sim"
         run_cli(["simulate", "--config", sim_config,

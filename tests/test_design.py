@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nssm.design import (
     DesignRecipe,
     SummaryAugment,
     augment_summaries,
     build_design,
+    design_stack,
     spillover_matrix,
 )
 from nssm.graph import Adjacency, WeightMatrix, row_normalize
@@ -103,6 +106,40 @@ class TestBuildDesign:
         x = build_design(w, [y1], None, DesignRecipe())
         direct = 0.2 + 0.5 * (w.entries @ y1) - 0.3 * y1
         assert np.allclose(x @ theta, direct, atol=1e-14)
+
+
+class TestDesignStack:
+    @given(st.integers(0, 10_000), st.integers(1, 60), st.integers(1, 3),
+           st.sampled_from([(1,), (1, 2)]),
+           st.sampled_from(["none", "static", "per_t"]),
+           st.sampled_from(["one", "list_of_one", "per_t"]))
+    @settings(max_examples=80, deadline=None)
+    def test_property_equals_per_step_build_design(self, seed, n, lag_order,
+                                                   powers, z_kind, w_kind):
+        # Exact equality: the fits' bitwise agreement with their per-step
+        # references rests on it.
+        rng = np.random.default_rng(seed)
+        t_len = lag_order + 1 + int(rng.integers(0, 8))
+        panel = rng.standard_normal((t_len, n)) * 10.0 ** rng.uniform(-1, 3)
+        recipe = DesignRecipe(lag_order=lag_order, network_powers=powers,
+                              covariate_count=0 if z_kind == "none" else 2)
+        networks = [simple_w(n, seed + t) for t in range(t_len)]
+        w_seq = {"one": networks[0], "list_of_one": networks[:1],
+                 "per_t": networks}[w_kind]
+        z = {"none": None, "static": rng.standard_normal((n, 2)),
+             "per_t": rng.standard_normal((t_len, n, 2))}[z_kind]
+        want = [build_design(networks[t] if w_kind == "per_t" else networks[0],
+                             [panel[t - l] for l in range(1, lag_order + 1)],
+                             z[t] if z_kind == "per_t" else z, recipe)
+                for t in range(lag_order, t_len)]
+        assert np.array_equal(design_stack(w_seq, panel, z, recipe),
+                              np.array(want))
+
+    def test_nonfinite_lag_rejected(self):
+        panel = np.ones((5, 4))
+        panel[2, 1] = np.inf
+        with pytest.raises(ValueError, match="not finite"):
+            design_stack(simple_w(), panel, None, DesignRecipe())
 
 
 class TestSpillover:

@@ -132,6 +132,42 @@ class TestFitGaussian:
         assert set(np.unique(run.threshold_states)) <= {0, 1}
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("noise", ["scalar", "diagonal"])
+    def test_large_mean_panel_matches_joint_conditioning(self, seed, noise):
+        # A panel near 10^3 makes the intercept, W y and y columns nearly
+        # collinear, and the fit's residuals small against X' R^-1 y: the
+        # case where X' R^-1 v formed as X' R^-1 y - X' R^-1 X m would
+        # cancel. Dense conditioning of the whole run is the reference; its
+        # own inverse of the 30(T - 1)-row innovation covariance loses up
+        # to ~3e-7 relative here, hence the 2e-6 tolerance.
+        n, t_len = 30, 8
+        w = make_w(n=n, seed=seed, density=0.3)
+        rng = np.random.default_rng(seed)
+        panel = 1e3 + np.cumsum(rng.standard_normal((t_len, n)), axis=0)
+        # r >= 1 keeps the reference's 210 x 210 innovation covariance
+        # inside the positive-definiteness cutoff of scipy's logpdf.
+        r = (np.full(n, 1.0) if noise == "scalar"
+             else 10.0 ** rng.uniform(0.0, 1.0, n))
+        q = 1e-4 * np.eye(3)
+        spec = GaussianSpec(recipe=DesignRecipe(),
+                            state_noise=StateNoiseSpec.constant(q),
+                            obs_noise=ObsNoise(noise, 1.0 if noise == "scalar" else r))
+        run = fit_gaussian(panel, w, None, spec)
+        init = spec.initial_belief()
+        h_seq = [build_design(w, [panel[t - 1]], None, spec.recipe)
+                 for t in range(1, t_len)]
+        args = (init.mean, init.cov, [q] * (t_len - 1), h_seq,
+                [np.diag(r)] * (t_len - 1), list(panel[1:]))
+        filtered, _ = oracles.joint_gaussian_filter_smoother(*args)
+        for i, (mean, cov) in enumerate(filtered):
+            assert (np.max(np.abs(run.means[i] - mean))
+                    <= 2e-6 * max(1.0, np.max(np.abs(mean))))
+            assert np.max(np.abs(run.covs[i] - cov)) <= 2e-6 * np.max(np.abs(cov))
+        assert run.loglik == pytest.approx(oracles.joint_gaussian_loglik(*args),
+                                           rel=1e-7)
+
+
 class TestObsNoise:
     def test_full_not_positive_definite_is_value_error(self):
         # An input error, not a numerical failure: the CLI maps LinAlgError

@@ -135,6 +135,23 @@ class TestGenCoeffPaths:
         with pytest.raises(ValueError, match=field):
             CoeffPathSpec(**kwargs)
 
+    @pytest.mark.parametrize("jumps, field", [
+        ({"low": np.nan}, "low"),
+        ({"high": np.nan}, "high"),
+        ({"low": -np.inf}, "low"),
+        ({"low": 0.6, "high": 0.5}, "low"),
+        ({"indices": [3]}, "indices"),
+        ({"indices": [-1]}, "indices"),
+        ({"indices": [1.0]}, "indices"),
+        ({"indices": 1}, "indices"),
+        ({"rate": "0.1"}, "rate"),
+        ({"high": "0.5"}, "high"),
+    ])
+    def test_rejects_bad_jump_setting(self, jumps, field):
+        with pytest.raises(ValueError, match=field):
+            CoeffPathSpec(k=3, init=np.zeros(3), rw_sd=np.zeros(3),
+                          sparse_jumps={"rate": 0.1, **jumps})
+
     def test_jump_ground_truth_recorded(self):
         spec = CoeffPathSpec(
             k=2, init=np.zeros(2), rw_sd=np.zeros(2),
@@ -206,6 +223,24 @@ class TestGenGaussianPanel:
         with pytest.raises(ValueError, match="sigma2"):
             gen_gaussian_panel(WeightMatrix(np.eye(3)), paths, sigma2, 10,
                                seed=0)
+
+
+class TestBurnIn:
+    PATHS = np.tile([0.1, 0.05, 0.05], (20, 1))
+
+    def test_negative_burn_in_rejected(self):
+        w = WeightMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="burn_in"):
+            gen_gaussian_panel(w, self.PATHS, 0.1, 20, seed=0, burn_in=-5)
+        with pytest.raises(ValueError, match="burn_in"):
+            gen_poisson_panel(w, self.PATHS, 20, seed=0, burn_in=-5)
+
+    def test_burn_in_drops_leading_rows(self):
+        w = WeightMatrix(np.eye(3))
+        full = gen_gaussian_panel(w, self.PATHS, 0.1, 20, seed=0)
+        assert np.array_equal(
+            gen_gaussian_panel(w, self.PATHS, 0.1, 15, seed=0, burn_in=5),
+            full[5:])
 
 
 class TestNetworkSequence:
