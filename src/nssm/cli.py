@@ -66,39 +66,54 @@ def _require(cfg: dict, key: str, typ=None):
     return val
 
 
+_REQUIRED = object()
+
+
+def _value(cfg: dict, key: str, cast, default=_REQUIRED):
+    """``cast`` of cfg[key], or of ``default`` when the key is absent (the
+    key is required when there is no default). A value that ``cast``
+    cannot take, such as a list where a number belongs, is a ConfigError."""
+    val = _require(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    try:
+        return cast(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} cannot be read as "
+                          f"{cast.__name__}: {val!r}") from exc
+
+
 def _state_noise_from_config(cfg: dict, k: int) -> StateNoiseSpec:
     if "q1" in cfg:
-        q0 = float(cfg.get("q0", 1e-4))
-        q1 = float(cfg["q1"])
-        d = float(cfg.get("d", 0.1))
+        q0 = _value(cfg, "q0", float, 1e-4)
+        q1 = _value(cfg, "q1", float)
+        d = _value(cfg, "d", float, 0.1)
         if q0 <= 0 or q1 <= q0 or d <= 0:
             raise ConfigError("threshold noise needs 0 < q0 < q1 and d > 0")
         return StateNoiseSpec.threshold(np.full(k, q0), np.full(k, q1),
                                         np.full(k, d))
-    q0 = float(cfg.get("q0", 1e-4))
+    q0 = _value(cfg, "q0", float, 1e-4)
     if q0 <= 0:
         raise ConfigError("q0 must be positive")
     return StateNoiseSpec.constant(q0 * np.eye(k))
 
 
 def _recipe_from_config(cfg: dict) -> DesignRecipe:
-    p = int(cfg.get("p", 1))
+    p = _value(cfg, "p", int, 1)
     if p < 1:
         raise ConfigError("p must be a positive integer")
     return DesignRecipe(lag_order=p,
-                        covariate_count=int(cfg.get("covariates", 0)))
+                        covariate_count=_value(cfg, "covariates", int, 0))
 
 
 def _model_spec(cfg: dict):
     model = _require(cfg, "model", str)
     recipe = _recipe_from_config(cfg)
     noise = _state_noise_from_config(cfg, recipe.n_cols)
-    p0 = float(cfg.get("P0_scale", 10.0))
+    p0 = _value(cfg, "P0_scale", float, 10.0)
     m0 = None
     if cfg.get("m0_scale") is not None:
-        m0 = float(cfg["m0_scale"]) * np.ones(recipe.n_cols)
+        m0 = _value(cfg, "m0_scale", float) * np.ones(recipe.n_cols)
     if model == "gaussian":
-        sigma2 = float(cfg.get("sigma2", 1.0))
+        sigma2 = _value(cfg, "sigma2", float, 1.0)
         if sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
         return GaussianSpec(recipe=recipe, state_noise=noise,
@@ -115,33 +130,34 @@ def _stabilizer(cfg: dict) -> StabilizerConfig:
         return StabilizerConfig.disabled()
     if not isinstance(stab, dict):
         raise ConfigError("stabilizer must be an object or false")
-    return StabilizerConfig(phi=float(stab.get("phi", 0.98)),
-                            eta_max=float(stab.get("eta_max", 12.0)),
-                            lambda_max=float(stab.get("lambda_max", 1e5)))
+    return StabilizerConfig(phi=_value(stab, "phi", float, 0.98),
+                            eta_max=_value(stab, "eta_max", float, 12.0),
+                            lambda_max=_value(stab, "lambda_max", float, 1e5))
 
 
 def _cmd_simulate(args, cfg: dict, out: Path):
     gcfg = _require(cfg, "graph", dict)
-    t_len = int(_require(cfg, "T"))
+    t_len = _value(cfg, "T", int)
     gen = GraphGen(kind=_require(gcfg, "kind", str),
-                   n_nodes=int(_require(gcfg, "n_nodes")),
+                   n_nodes=_value(gcfg, "n_nodes", int),
                    seed=args.seed, params=gcfg.get("params", {}))
     w, adj = gen_graph(gen)
-    ccfg = cfg.get("coeffs", {})
+    ccfg = _value(cfg, "coeffs", dict, {})
     k = 3
     spec = CoeffPathSpec(
         k=k,
         init=np.asarray(ccfg.get("init", [0.0, 0.3, 0.3]), dtype=float),
         rw_sd=np.asarray(ccfg.get("rw_sd", [0.0, 0.01, 0.01]), dtype=float),
         sparse_jumps=ccfg.get("sparse_jumps"),
-        stability_multiplier=float(ccfg.get("c", 1.0)),
+        stability_multiplier=_value(ccfg, "c", float, 1.0),
     )
-    burn = int(cfg.get("burn_in", 0))
+    burn = _value(cfg, "burn_in", int, 0)
     paths, jumps = gen_coeff_paths(spec, t_len + burn, args.seed + 1)
     model = cfg.get("model", "gaussian")
     if model == "gaussian":
-        panel = gen_gaussian_panel(w, paths, float(cfg.get("sigma2", 0.25)),
-                                   t_len, args.seed + 2, burn_in=burn)
+        sigma2 = _value(cfg, "sigma2", float, 0.25)
+        panel = gen_gaussian_panel(w, paths, sigma2, t_len, args.seed + 2,
+                                   burn_in=burn)
     elif model == "poisson":
         panel = gen_poisson_panel(w, paths, t_len, args.seed + 2, burn_in=burn)
     else:
@@ -182,14 +198,14 @@ def _cmd_fit(args, cfg: dict, out: Path):
 
 def _cmd_forecast(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
-    horizon = int(cfg.get("horizon", 8))
+    horizon = _value(cfg, "horizon", int, 8)
     if cfg["model"] == "gaussian":
         fcs = forecast_gaussian(run, spec, horizon)
         mat = np.asarray([fc.mean for fc in fcs])
         nio.write_matrix_csv(out / "forecast_means.csv", mat)
     else:
         stab = _stabilizer(cfg)
-        n_draws = int(cfg.get("S", 300))
+        n_draws = _value(cfg, "S", int, 300)
         ensembles = mc_forecast(run, spec, horizon, n_draws, stab, args.seed)
         mat = np.asarray([ensemble_stats(e)["mean"] for e in ensembles])
         nio.write_matrix_csv(out / "forecast_means.csv", mat)
@@ -203,10 +219,10 @@ def _cmd_forecast(args, cfg: dict, out: Path):
 
 def _cmd_evaluate(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
-    horizons = tuple(cfg.get("horizons", [1, 2, 4, 8]))
+    horizons = _value(cfg, "horizons", tuple, (1, 2, 4, 8))
     origins = cfg.get("origins")
     if origins is None:
-        n_org = int(cfg.get("n_origins", 8))
+        n_org = _value(cfg, "n_origins", int, 8)
         last = panel.shape[0] - 1 - max(horizons)
         first = max(spec.recipe.lag_order, last - n_org + 1)
         origins = list(range(first, last + 1))
@@ -221,7 +237,7 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
             return [fc.mean for fc in forecast_gaussian(sub, spec, h_max)]
     else:
         stab = _stabilizer(cfg)
-        n_draws = int(cfg.get("S", 300))
+        n_draws = _value(cfg, "S", int, 300)
 
         def fit_fn(p, wm):
             return fit_poisson(p, wm, spec)
@@ -279,10 +295,10 @@ def _cmd_diagnose(args, cfg: dict, out: Path):
 
 def _cmd_irf(args, cfg: dict, out: Path):
     w = nio.read_weight_csv(args.weight)
-    h = int(_require(cfg, "horizon"))
-    node = int(cfg.get("shock_node", 0))
-    beta1 = float(_require(cfg, "beta1"))
-    beta2 = float(_require(cfg, "beta2"))
+    h = _value(cfg, "horizon", int)
+    node = _value(cfg, "shock_node", int, 0)
+    beta1 = _value(cfg, "beta1", float)
+    beta2 = _value(cfg, "beta2", float)
     b1_path = np.full(h + 1, beta1)
     b2_path = np.full(h + 1, beta2)
     decomp = hop_coefficients(b1_path, b2_path, 0, h)
@@ -296,7 +312,8 @@ def _cmd_irf(args, cfg: dict, out: Path):
 def _cmd_perturb(args, cfg: dict, out: Path):
     w = nio.read_weight_csv(args.weight)
     kind = _require(cfg, "kind", str)
-    kwargs = {k: cfg[k] for k in ("frac", "alpha", "iters") if k in cfg}
+    kwargs = {k: _value(cfg, k, cast) for k, cast in
+              (("frac", float), ("alpha", float), ("iters", int)) if k in cfg}
     w_pert = perturb(w, kind, rng_seed=args.seed, **kwargs)
     nio.write_matrix_csv(out / "weight_perturbed.csv", w_pert.entries)
     nio.write_manifest(out, cfg, args.seed, inputs=[args.config, args.weight])

@@ -90,11 +90,17 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
                    recipe: DesignRecipe) -> Iterator[np.ndarray]:
     """The design's columns, one at a time, in the recipe's column order.
 
-    A lag is a length-N vector or an S x N block holding one lag vector
-    per row (S Monte-Carlo draws); W^r Y is then Y @ (W')^r. The
-    intercept and covariate columns are length-N vectors, which broadcast
-    against the blocks. The lags and ``z`` must be finite: they are
-    checked before any product with W.
+    A lag is a length-N vector, a (T - p) x 1 x N stack of them
+    (``design_stack``), or an S x N block holding one Monte-Carlo draw
+    per row. W^r y is r products with W. For a vector or a stack, each
+    is a sum over the nonzeros of W (``WeightMatrix.neighbour_sum``):
+    the network operators are sparse, and each vector of a stack is
+    summed on its own, so a stacked column equals the column of that
+    vector alone bit for bit. For a draw block it is the BLAS product
+    Y @ W', which spreads its one read of W over the S rows. The
+    intercept and covariate columns are length-N vectors, which
+    broadcast against the stacks and blocks. The lags and ``z`` must be
+    finite: they are checked before any product with W.
     """
     n = w.n_nodes
     for l, y in enumerate(y_lags, start=1):
@@ -115,12 +121,11 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
     if recipe.include_intercept:
         yield np.ones(n)
     if recipe.include_network_lags:
-        w_t = w.entries.T
         for r in recipe.network_powers:
             for y in y_lags:
                 # W^r y as r products with W; no N x N power is formed.
                 for _ in range(r):
-                    y = y @ w_t
+                    y = y @ w.entries.T if y.ndim == 2 else w.neighbour_sum(y)
                 yield y
     if recipe.include_own_lags:
         yield from y_lags
@@ -184,10 +189,11 @@ def design_stack(w_seq, panel: np.ndarray, z,
 
     With one network and no Z or a static Z, each lag enters
     ``design_columns`` as a (T - p) x 1 x N stack, so each network
-    column is one stacked product whose rows are the per-step
-    ``y @ W'``, bit for bit on the BLAS builds tested (a single
-    (T - p) x N gemm would sum in another order). A network or Z per
-    time step takes one ``design_columns`` call per t.
+    column is one neighbour sum over the stack, whose rows are the
+    per-step columns bit for bit by construction. A BLAS product of the
+    (T - p) x N lag panel with W' would read all N^2 entries of W to use
+    its nonzeros, and sum in another order than the per-step product. A
+    network or Z per time step takes one ``design_columns`` call per t.
     """
     p = recipe.lag_order
     t_len, n = panel.shape

@@ -2,13 +2,14 @@
 
 Construction, row normalization, spectral quantities, invariant vectors,
 quotient (community-averaged) operators, and controlled perturbations.
-All matrices are dense; operations are pure functions of immutable inputs.
+Operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,10 @@ class Provenance(str, Enum):
 
 
 _ROW_SUM_EPS = 1e-12
+# The largest gather ``WeightMatrix.neighbour_sum`` makes at once, in
+# float64 elements (2 MB): a long stack of vectors is summed a few
+# vectors at a time, so a dense W costs no N^2 x T temporary.
+_GATHER_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,10 @@ class WeightMatrix:
                     f"row sums must be 0 or 1 for row_normalized provenance; "
                     f"offending rows {np.flatnonzero(bad)[:5].tolist()}"
                 )
+        # A read-only view: the nonzeros are found once (``_nonzeros``),
+        # so the entries must not change through the matrix afterwards.
+        w = w.view()
+        w.flags.writeable = False
         object.__setattr__(self, "entries", w)
 
     @property
@@ -76,6 +85,43 @@ class WeightMatrix:
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
+
+    @cached_property
+    def _nonzeros(self):
+        """The nonzeros of W in row-major order (row, then column), found
+        once per matrix: their columns and values, the offset of each
+        nonempty row's first nonzero, and the nonempty rows as an index
+        (a full slice when no row is empty)."""
+        rows, cols = np.nonzero(self.entries)
+        counts = np.bincount(rows, minlength=self.n_nodes)
+        nonempty = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[nonempty]
+        if len(nonempty) == self.n_nodes:
+            nonempty = slice(None)
+        return cols, self.entries[rows, cols], starts, nonempty
+
+    def neighbour_sum(self, y: np.ndarray) -> np.ndarray:
+        """W y for a length-N vector, or for each length-N vector of a
+        stack ``y[..., N]``, from the nonzeros of W alone.
+
+        Entry i sums the products w_ij y_j of row i's nonzeros, taken in
+        column order, as one segment of ``np.add.reduceat``. numpy sums
+        each segment of each vector with one reduction loop, in an order
+        fixed by the segment's length, so a vector of a stack gets the
+        bits it gets alone, and a stack may be summed in any number of
+        parts. A BLAS product sums in an order that depends on the
+        shapes, and agrees with this one to rounding only.
+        """
+        cols, vals, starts, nonempty = self._nonzeros
+        stack = np.reshape(np.asarray(y, dtype=float), (-1, self.n_nodes))
+        out = np.zeros(stack.shape)
+        step = max(1, _GATHER_ELEMENTS // max(len(cols), 1))
+        for a in range(0, len(stack) if len(cols) else 0, step):
+            products = stack[a:a + step, cols]
+            products *= vals
+            out[a:a + step, nonempty] = np.add.reduceat(products, starts,
+                                                        axis=1)
+        return out.reshape(np.shape(y))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import csv
 import hashlib
 import json
 import platform
-from importlib import metadata
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -72,13 +71,18 @@ def read_weight_csv(path) -> WeightMatrix:
 def write_manifest(out_dir, config: dict, seed: int, inputs: Sequence = (),
                    extra: Optional[dict] = None):
     """Record the run config, seed, versions, and input checksums."""
+    # Imported here, so that importing nssm loads no scipy. The top-level
+    # package alone gives the version; it loads neither scipy.linalg nor
+    # scipy's BLAS, and it costs less than importlib.metadata.
+    import scipy
+
     manifest = {
         "config": config,
         "seed": seed,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": metadata.version("scipy"),
+            "scipy": scipy.__version__,
             "nssm": __version__,
         },
         "inputs": {str(p): sha256_file(p) for p in inputs},

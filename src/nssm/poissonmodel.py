@@ -214,8 +214,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     F, if the spec has one, and damped toward the filtered mean by the
     stabilizer's phi), caps the linear predictor and intensity,
     samples counts, and feeds the counts into the next step's design.
-    The draws are batched: all S advance together, and W y is one matrix
-    product over the draws per horizon (in slabs of 64 draws). Each count
+    The draws are batched: all S advance together, and W y of the fed-back
+    counts is one matrix product per slab of 64 draws. Each count
     takes one uniform from its horizon's observation stream
     ``[rng_seed, h, 2]`` and inverts the Poisson CDF with it
     (``_poisson_counts``), so the raw and stabilized forecasts of one seed

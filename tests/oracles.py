@@ -9,7 +9,7 @@ import itertools
 import warnings
 
 import numpy as np
-from scipy import stats
+from scipy import linalg, stats
 
 from nssm.design import build_design
 from nssm.lgss import (
@@ -96,11 +96,14 @@ def joint_gaussian_loglik(m0, p0, q_seq, h_seq, r_seq, y_seq):
         h_big[pos:pos + m, (t + 1) * k:(t + 2) * k] = h_seq[t]
         r_big[pos:pos + m, pos:pos + m] = r_seq[t]
         pos += m
-    y_big = np.concatenate(y_seq)
-    mean_y = h_big @ np.tile(m0, t_len + 1)
-    cov_y = h_big @ cov_joint @ h_big.T + r_big
-    return float(stats.multivariate_normal.logpdf(y_big, mean=mean_y,
-                                                  cov=cov_y))
+    resid = np.concatenate(y_seq) - h_big @ np.tile(m0, t_len + 1)
+    # From a Cholesky factor of the innovation covariance, which needs it
+    # positive definite and no more: scipy's logpdf also rejects one whose
+    # smallest eigenvalue is tiny against its largest.
+    chol = np.linalg.cholesky(h_big @ cov_joint @ h_big.T + r_big)
+    white = linalg.solve_triangular(chol, resid, lower=True)
+    return float(-0.5 * (white @ white) - np.sum(np.log(np.diag(chol)))
+                 - 0.5 * len(resid) * np.log(2.0 * np.pi))
 
 
 def hop_coeff_subset_sum(beta1, beta2, t, h):

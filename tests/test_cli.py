@@ -277,6 +277,41 @@ class TestConfigErrors:
         assert word in json.loads(capsys.readouterr().err)["message"]
         assert not (out / "panel.csv").exists()
 
+    @pytest.mark.parametrize("change", [
+        {"burn_in": [1]}, {"T": [20]}, {"T": float("inf")}, {"coeffs": [0.1]},
+    ], ids=["burn_in_list", "T_list", "T_infinite", "coeffs_list"])
+    def test_wrongly_typed_simulation_value_exit_2(self, tmp_path, capsys,
+                                                   sim_config, change):
+        cfg = {**json.loads(Path(sim_config).read_text()), **change}
+        out = tmp_path / "o"
+        code = run_cli(["simulate", "--config",
+                        write_json(tmp_path / "c.json", cfg),
+                        "--out", str(out), "--seed", "0"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert next(iter(change)) in err["message"]
+        assert not (out / "panel.csv").exists()
+
+    @pytest.mark.parametrize("command, change", [
+        ("fit", {"sigma2": [0.25]}), ("forecast", {"horizon": {"h": 2}}),
+        ("evaluate", {"horizons": 4}),
+    ], ids=["fit_sigma2", "forecast_horizon", "evaluate_horizons"])
+    def test_wrongly_typed_model_value_exit_2(self, tmp_path, capsys,
+                                              sim_config, command, change):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        cfg = write_json(tmp_path / "c.json", {"model": "gaussian", **change})
+        code = run_cli([command, "--config", cfg,
+                        "--out", str(tmp_path / "o"), "--seed", "0",
+                        "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(sim_out / "weight.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert next(iter(change)) in err["message"]
+
     def test_bad_sigma2(self, tmp_path, capsys, sim_config):
         sim_out = tmp_path / "sim"
         run_cli(["simulate", "--config", sim_config,

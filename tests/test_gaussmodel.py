@@ -145,10 +145,8 @@ class TestFitGaussian:
         w = make_w(n=n, seed=seed, density=0.3)
         rng = np.random.default_rng(seed)
         panel = 1e3 + np.cumsum(rng.standard_normal((t_len, n)), axis=0)
-        # r >= 1 keeps the reference's 210 x 210 innovation covariance
-        # inside the positive-definiteness cutoff of scipy's logpdf.
         r = (np.full(n, 1.0) if noise == "scalar"
-             else 10.0 ** rng.uniform(0.0, 1.0, n))
+             else 10.0 ** rng.uniform(-1.0, 1.0, n))
         q = 1e-4 * np.eye(3)
         spec = GaussianSpec(recipe=DesignRecipe(),
                             state_noise=StateNoiseSpec.constant(q),
@@ -407,6 +405,29 @@ class TestMcForecastGaussian:
         run = fit_gaussian(panel, w, None, spec)
         small = mc_forecast_gaussian(run, spec, 3, 10, rng_seed=3)
         large = mc_forecast_gaussian(run, spec, 3, 25, rng_seed=3)
+        for ds, dl in zip(small, large):
+            assert np.array_equal(ds["draws"], dl["draws"][:10])
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("noise", ["diagonal", "full"])
+    def test_draw_count_invariance_at_larger_n(self, n, noise):
+        # At these N, BLAS computes a row of a 10-row product in another
+        # order than the same row of a 70-row one; every product over the
+        # draws runs on whole 64-row slabs, so the draws stay equal. With
+        # full R the observation noise goes through an N x N product too.
+        w = make_w(n=n, density=0.1)
+        panel, _ = simulate_panel(w, t_len=20)
+        rng = np.random.default_rng(n)
+        if noise == "diagonal":
+            obs_noise = ObsNoise("diagonal", 0.1 + 0.3 * rng.random(n))
+        else:
+            a = rng.standard_normal((n, n))
+            obs_noise = ObsNoise("full", 0.2 * np.eye(n) + 0.05 * a @ a.T / n)
+        spec = GaussianSpec(recipe=DesignRecipe(), obs_noise=obs_noise,
+                            state_noise=StateNoiseSpec.constant(1e-4 * np.eye(3)))
+        run = fit_gaussian(panel, w, None, spec)
+        small = mc_forecast_gaussian(run, spec, 3, 10, rng_seed=3)
+        large = mc_forecast_gaussian(run, spec, 3, 70, rng_seed=3)
         for ds, dl in zip(small, large):
             assert np.array_equal(ds["draws"], dl["draws"][:10])
 

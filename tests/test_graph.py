@@ -14,6 +14,7 @@ from nssm.graph import (
     row_normalize,
     spectral_radius,
 )
+from nssm.graph import _GATHER_ELEMENTS
 
 
 def random_adjacency(n, density, seed):
@@ -63,6 +64,61 @@ class TestRowNormalize:
     def test_weight_matrix_validates_provenance(self):
         with pytest.raises(ValueError, match="row sums"):
             WeightMatrix(np.full((2, 2), 0.4), provenance="row_normalized")
+
+
+class TestNeighbourSum:
+    @given(st.integers(0, 10_000), st.integers(1, 60),
+           st.sampled_from(["empty_rows", "sparse", "dense"]),
+           st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_dense_product(self, seed, n, kind, rows):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        if kind == "sparse":
+            a *= rng.random((n, n)) < 0.1
+        elif kind == "empty_rows":
+            a *= rng.random((n, n)) < 0.3
+            a[rng.random(n) < 0.5] = 0.0
+        w = WeightMatrix(a)
+        y = rng.standard_normal((rows, 1, n)) * 10.0 ** rng.uniform(-3, 3)
+        got = w.neighbour_sum(y)
+        assert got.shape == y.shape
+        # Each entry to rounding of the dense product: 1e-15 of the sum of
+        # the terms' magnitudes (both sides sum up to 60 terms; the worst
+        # seen was 5e-16).
+        assert np.all(np.abs(got - y @ a.T) <= 1e-15 * (np.abs(y) @ a.T))
+        # A vector of the stack, or a part of it, gets the bits it gets alone.
+        for i in range(rows):
+            assert np.array_equal(w.neighbour_sum(y[i, 0]), got[i, 0])
+        assert np.array_equal(w.neighbour_sum(y[rows // 2:]), got[rows // 2:])
+
+    def test_one_node_and_no_edges(self):
+        y = np.array([[2.0], [-3.0]])
+        assert np.array_equal(WeightMatrix(np.array([[0.5]])).neighbour_sum(y),
+                              0.5 * y)
+        assert np.array_equal(WeightMatrix(np.zeros((1, 1))).neighbour_sum(y),
+                              np.zeros((2, 1)))
+        assert np.array_equal(WeightMatrix(np.zeros((4, 4))).neighbour_sum(
+            np.ones(4)), np.zeros(4))
+
+    def test_entries_are_read_only(self):
+        # The nonzeros are found once, so the entries must not change.
+        w = WeightMatrix(np.ones((3, 3)))
+        w.neighbour_sum(np.ones(3))
+        with pytest.raises(ValueError, match="read-only"):
+            w.entries[0, 1] = 0.0
+
+    def test_long_dense_stack_is_summed_in_parts(self):
+        rng = np.random.default_rng(0)
+        w = WeightMatrix(rng.random((100, 100)))
+        y = rng.standard_normal((60, 100))
+        step = _GATHER_ELEMENTS // w.entries.size
+        assert step < len(y)  # the stack is gathered in parts
+        got = w.neighbour_sum(y)
+        for i in (0, step - 1, step, len(y) - 1):
+            assert np.array_equal(w.neighbour_sum(y[i]), got[i])
+        assert np.all(np.abs(got - y @ w.entries.T)
+                      <= 1e-15 * (np.abs(y) @ w.entries.T))
 
 
 class TestNorms:

@@ -335,6 +335,26 @@ class TestMcForecast:
         for es, el in zip(small, large):
             assert np.array_equal(es.counts, el.counts[:10])
 
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_draw_count_invariance_at_larger_n(self, n):
+        # At these N, BLAS computes a row of the 10-row Y @ W' in another
+        # order than the same row of a 70-row one; both run on whole
+        # 64-row slabs, so the intensities stay equal.
+        rng = np.random.default_rng(n)
+        a = (rng.random((n, n)) < 0.1) * 1.0
+        np.fill_diagonal(a, 0.0)
+        a[a.sum(axis=1) == 0, 0] = 1.0
+        np.fill_diagonal(a, 0.0)
+        w = row_normalize(Adjacency(a))
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = default_spec()
+        run = fit_poisson(panel, w, spec)
+        small = mc_forecast(run, spec, 3, 10, StabilizerConfig(), rng_seed=3)
+        large = mc_forecast(run, spec, 3, 70, StabilizerConfig(), rng_seed=3)
+        for es, el in zip(small, large):
+            assert np.array_equal(es.intensities, el.intensities[:10])
+            assert np.array_equal(es.counts, el.counts[:10])
+
     def test_fallback_streams_only_where_needed(self, monkeypatch):
         # At high intensities each horizon adds its fallback stream, keyed
         # [seed, h, 3], to the 2H + 1.
