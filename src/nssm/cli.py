@@ -81,6 +81,16 @@ def _value(cfg: dict, key: str, cast, default=_REQUIRED):
                           f"{cast.__name__}: {val!r}") from exc
 
 
+def float_array(val) -> np.ndarray:
+    return np.asarray(val, dtype=float)
+
+
+def int_list(val) -> list:
+    if not (isinstance(val, list) and all(type(v) is int for v in val)):
+        raise TypeError("not a list of integers; a bool is not one")
+    return val
+
+
 def _state_noise_from_config(cfg: dict, k: int) -> StateNoiseSpec:
     if "q1" in cfg:
         q0 = _value(cfg, "q0", float, 1e-4)
@@ -146,8 +156,8 @@ def _cmd_simulate(args, cfg: dict, out: Path):
     k = 3
     spec = CoeffPathSpec(
         k=k,
-        init=np.asarray(ccfg.get("init", [0.0, 0.3, 0.3]), dtype=float),
-        rw_sd=np.asarray(ccfg.get("rw_sd", [0.0, 0.01, 0.01]), dtype=float),
+        init=_value(ccfg, "init", float_array, [0.0, 0.3, 0.3]),
+        rw_sd=_value(ccfg, "rw_sd", float_array, [0.0, 0.01, 0.01]),
         sparse_jumps=ccfg.get("sparse_jumps"),
         stability_multiplier=_value(ccfg, "c", float, 1.0),
     )
@@ -219,9 +229,10 @@ def _cmd_forecast(args, cfg: dict, out: Path):
 
 def _cmd_evaluate(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
-    horizons = _value(cfg, "horizons", tuple, (1, 2, 4, 8))
-    origins = cfg.get("origins")
-    if origins is None:
+    horizons = _value(cfg, "horizons", int_list, [1, 2, 4, 8])
+    if cfg.get("origins") is not None:
+        origins = _value(cfg, "origins", int_list)
+    else:
         n_org = _value(cfg, "n_origins", int, 8)
         last = panel.shape[0] - 1 - max(horizons)
         first = max(spec.recipe.lag_order, last - n_org + 1)

@@ -85,6 +85,28 @@ class SummaryAugment:
         object.__setattr__(self, "v_matrix", v)
 
 
+# Monte-Carlo draws per slab (``_by_slab``).
+_DRAW_SLAB = 64
+
+
+def _by_slab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a block ``a`` of one draw per row, as one product of
+    ``_DRAW_SLAB`` rows at a time, the last slab padded with zero rows.
+    BLAS may sum a row in another order in a product of another shape;
+    with every product the same shape, row s of the result depends on
+    row s of ``a`` alone, whatever the number of rows, and the
+    temporaries stay ``_DRAW_SLAB`` x N."""
+    n_rows = a.shape[0]
+    out = np.empty((n_rows, b.shape[1]))
+    for start in range(0, n_rows, _DRAW_SLAB):
+        slab = a[start:start + _DRAW_SLAB]
+        if len(slab) < _DRAW_SLAB:
+            slab = np.concatenate(
+                [slab, np.zeros((_DRAW_SLAB - len(slab), a.shape[1]))])
+        out[start:start + _DRAW_SLAB] = (slab @ b)[:n_rows - start]
+    return out
+
+
 def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
                    z: Optional[np.ndarray],
                    recipe: DesignRecipe) -> Iterator[np.ndarray]:
@@ -97,7 +119,9 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
     the network operators are sparse, and each vector of a stack is
     summed on its own, so a stacked column equals the column of that
     vector alone bit for bit. For a draw block it is the BLAS product
-    Y @ W', which spreads its one read of W over the S rows. The
+    Y @ W', one slab of draws at a time (``_by_slab``), so that row s
+    does not depend on S; each product spreads its read of W over the
+    rows of a slab. The
     intercept and covariate columns are length-N vectors, which
     broadcast against the stacks and blocks. The lags and ``z`` must be
     finite: they are checked before any product with W.
@@ -125,7 +149,8 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
             for y in y_lags:
                 # W^r y as r products with W; no N x N power is formed.
                 for _ in range(r):
-                    y = y @ w.entries.T if y.ndim == 2 else w.neighbour_sum(y)
+                    y = (_by_slab(y, w.entries.T) if y.ndim == 2
+                         else w.neighbour_sum(y))
                 yield y
     if recipe.include_own_lags:
         yield from y_lags

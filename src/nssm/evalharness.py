@@ -33,7 +33,9 @@ class EvalPlan:
             raise ValueError("horizons must be positive")
         object.__setattr__(self, "horizons", horizons)
         object.__setattr__(self, "origins", tuple(int(t) for t in self.origins))
-        if self.t_len is not None and self.origins:
+        if not self.origins:
+            raise ValueError("an evaluation plan needs at least one origin")
+        if self.t_len is not None:
             if max(self.origins) + max(horizons) > self.t_len - 1:
                 raise ValueError("every origin + max horizon must fit in T")
 

@@ -10,8 +10,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .design import (DesignRecipe, _w_at, build_design, design_columns,
-                     design_stack, spillover_matrix)
+from .design import (DesignRecipe, _by_slab, _w_at, build_design,
+                     design_columns, design_stack, spillover_matrix)
 from .lgss import (Belief, FilterRun, NumericalError, StateNoiseSpec, _as_r,
                    _collapsed_core, _state_q, _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
@@ -106,33 +106,10 @@ def _horizon_inputs(run: FilterRun, recipe: DesignRecipe, horizon: int,
     return list(zip(networks, covariates))
 
 
-# Draws per slab: every product over the draws is one product of a full
-# slab (``_by_slab``), and the temporaries stay 64 x N whatever S, so the
-# returned blocks are nearly all the memory.
-_DRAW_SLAB = 64
-
-
 def _stream(rng_seed: int, h: int, kind: int) -> np.random.Generator:
     """The Monte-Carlo random stream of horizon ``h`` (0 for the initial
     draw) and variate ``kind``; see ``_simulate_draws``."""
     return np.random.default_rng([rng_seed, h, kind])
-
-
-def _by_slab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a block ``a`` of one draw per row, as one product of
-    ``_DRAW_SLAB`` rows at a time, the last slab padded with zero rows.
-    BLAS may sum a row in another order in a product of another shape;
-    with every product the same shape, row s of the result depends on
-    row s of ``a`` alone, whatever the number of rows."""
-    n_rows = a.shape[0]
-    out = np.empty((n_rows, b.shape[1]))
-    for start in range(0, n_rows, _DRAW_SLAB):
-        slab = a[start:start + _DRAW_SLAB]
-        if len(slab) < _DRAW_SLAB:
-            slab = np.concatenate(
-                [slab, np.zeros((_DRAW_SLAB - len(slab), a.shape[1]))])
-        out[start:start + _DRAW_SLAB] = (slab @ b)[:n_rows - start]
-    return out
 
 
 # An overflow ends in the NumericalError the function raises; numpy's
@@ -154,82 +131,53 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     become the newest lag. The W and z of each horizon are those of
     ``_horizon_inputs``.
 
-    The draws advance in whole slabs of ``_DRAW_SLAB``: S is rounded up
-    to S', and the coefficients and every product over the draws
-    (``_by_slab``, and Y @ W' in ``design_columns``) run on S' rows. The
-    S' - S padding draws are never observed: their lag rows are zero,
-    and their linear predictors are dropped. Each slab's lags are copied
-    into a zero-padded float64 slab, which casts an integer block
-    (Poisson counts, exact in float64) once per slab, not in each
-    product with W or theta.
-
     The random streams are keyed by what they draw, not by draw:
-    ``_stream(rng_seed, 0, 1)`` draws the initial S' x K block, and at
-    horizon h >= 1 ``_stream(rng_seed, h, 1)`` draws the S' x K state-noise
+    ``_stream(rng_seed, 0, 1)`` draws the initial S x K block, and at
+    horizon h >= 1 ``_stream(rng_seed, h, 1)`` draws the S x K state-noise
     block and ``_stream(rng_seed, h, 2)`` is the generator ``observe``
     draws its S x N block from, 2H + 1 generators in all (the Poisson
     sampler adds ``_stream(rng_seed, h, 3)`` at a horizon that needs it).
     No key ends in 0: numpy's SeedSequence pads a key with zeros, so
     ``[rng_seed, 0, 0]`` would be the stream of ``default_rng(rng_seed)``.
-    numpy fills a block in row order, and every product has the same
-    shape whatever S, so row s of each block is the same whatever
-    ``n_draws``, and horizon h's blocks are the same whatever H: draw s's
-    path up to h does not depend on either. Raises NumericalError when a
-    horizon's block is not finite after ``observe``.
+    numpy fills a block in row order, and every product over the draws
+    runs on whole slabs (``_by_slab``), so row s of each block is the
+    same whatever ``n_draws``, and horizon h's blocks are the same
+    whatever H: draw s's path up to h does not depend on either. Raises
+    NumericalError when a horizon's block is not finite after ``observe``.
     """
     inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
-    ctx = run.context
-    panel = ctx["panel"]
-    t_last = ctx["obs_times"][-1]
+    panel, t_last = run.context["panel"], run.context["obs_times"][-1]
     m, k = run.means[-1], run.means.shape[1]
     f = state_noise.transition
     q_mat, _ = _state_q(state_noise, run.means[-2:], k)
     q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
     p_chol = np.linalg.cholesky(run.covs[-1] + 1e-12 * np.eye(k))
 
-    n_slabbed = -(-n_draws // _DRAW_SLAB) * _DRAW_SLAB
     stream = partial(_stream, rng_seed)
-    theta = m + _by_slab(stream(0, 1).standard_normal((n_slabbed, k)),
+    theta = m + _by_slab(stream(0, 1).standard_normal((n_draws, k)),
                          p_chol.T)
     # Until the first draw is fed back, a lag is one length-N vector that
     # broadcasts against the S x N blocks.
     lags = [panel[t_last - l + 1] for l in range(1, recipe.lag_order + 1)]
-    lag_slabs = np.empty((recipe.lag_order, _DRAW_SLAB, panel.shape[1]))
-    last_eta = np.empty((_DRAW_SLAB, panel.shape[1]))
     blocks = np.empty((horizon, n_draws, panel.shape[1]))
     for h, (w_h, z_h) in enumerate(inputs):
         if f is not None:
             theta = _by_slab(theta, f.T)
-        noise = _by_slab(stream(h + 1, 1).standard_normal((n_slabbed, k)),
+        noise = _by_slab(stream(h + 1, 1).standard_normal((n_draws, k)),
                          q_chol.T)
         theta = phi * theta + (1.0 - phi) * m + noise
-        for start in range(0, n_draws, _DRAW_SLAB):
-            rows = slice(start, start + _DRAW_SLAB)
-            eta, th = blocks[h, rows], theta[rows]
-            if len(eta) < _DRAW_SLAB:
-                eta = last_eta
-            slab_lags = [y if y.ndim == 1 else _fill(buf, y[rows])
-                         for y, buf in zip(lags, lag_slabs)]
-            for j, col in enumerate(design_columns(w_h, slab_lags, z_h, recipe)):
-                if j == 0:
-                    np.multiply(col, th[:, :1], out=eta)
-                else:
-                    eta += col * th[:, j:j + 1]
-            if eta is last_eta:
-                blocks[h, rows] = last_eta[:n_draws - start]
-        newest = observe(h, blocks[h], stream(h + 1, 2))
-        if not np.all(np.isfinite(blocks[h])):
+        eta = blocks[h]
+        for j, col in enumerate(design_columns(w_h, lags, z_h, recipe)):
+            if j == 0:
+                np.multiply(col, theta[:, :1], out=eta)
+            else:
+                eta += col * theta[:, j:j + 1]
+        newest = observe(h, eta, stream(h + 1, 2))
+        if not np.all(np.isfinite(eta)):
             raise NumericalError(f"forecast draws at horizon {h + 1} are "
                                  f"not finite")
         lags = [newest] + lags[:-1]
     return blocks
-
-
-def _fill(slab: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``slab`` with ``rows`` in its leading rows and zeros below them."""
-    slab[:len(rows)] = rows
-    slab[len(rows):] = 0.0
-    return slab
 
 
 def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:

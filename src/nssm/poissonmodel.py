@@ -9,8 +9,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .design import DesignRecipe
-from .gaussmodel import _DRAW_SLAB, _fit_panel, _simulate_draws, _stream
+from .design import _DRAW_SLAB, DesignRecipe
+from .gaussmodel import _fit_panel, _simulate_draws, _stream
 from .lgss import Belief, FilterRun, NumericalError, StateNoiseSpec, _step
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .design import build_design

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,19 +35,35 @@ class GraphGen:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
+        if not isinstance(self.params, dict):
+            raise ValueError("graph params must be a dict")
+        get = self.params.get
         if self.kind == "sbm":
+            sizes = get("block_sizes")
+            if not (isinstance(sizes, (list, tuple))
+                    and all(_within(b, 1, np.inf, Integral) for b in sizes)
+                    and sum(sizes) == self.n_nodes):
+                raise ValueError("block_sizes must be positive integers that "
+                                 "sum to n_nodes")
             for key in ("p_in", "p_out"):
-                p = self.params.get(key, 0.0)
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"{key} must be in [0, 1]")
+                if not _within(get(key), 0.0, 1.0):
+                    raise ValueError(f"{key} must be a number in [0, 1]")
         elif self.kind == "latent_distance":
-            if self.params.get("scale", 1.0) < 0:
-                raise ValueError("scale must be nonnegative")
+            if not _within(get("scale", 1.0), 0.0, np.inf):
+                raise ValueError("scale must be a nonnegative number")
+            if not _within(get("dim", 2), 1, np.inf, Integral):
+                raise ValueError("dim must be an integer >= 1")
         elif self.kind == "scale_free":
-            if not 1 <= self.params.get("m_attach", 1) < self.n_nodes:
-                raise ValueError("m_attach must be >= 1 and < n_nodes")
+            if not _within(get("m_attach", 1), 1, self.n_nodes - 1, Integral):
+                raise ValueError("m_attach must be an integer >= 1 and "
+                                 "< n_nodes")
         else:
             raise ValueError(f"unknown graph kind {self.kind!r}")
+
+
+def _within(x, low, high, kind=Real) -> bool:
+    """Whether ``x`` is a ``kind`` number, not a bool, in [low, high]."""
+    return isinstance(x, kind) and not isinstance(x, bool) and low <= x <= high
 
 
 @dataclass(frozen=True)
@@ -76,18 +92,19 @@ class CoeffPathSpec:
         if not 0 < self.stability_multiplier < np.inf:
             raise ValueError("stability_multiplier must be finite and positive")
         if self.sparse_jumps is not None:
+            if not isinstance(self.sparse_jumps, dict):
+                raise ValueError("sparse_jumps must be a dict")
             rate = self.sparse_jumps.get("rate", 0.0)
             low = self.sparse_jumps.get("low", 0.2)
             high = self.sparse_jumps.get("high", 0.5)
-            if not isinstance(rate, Real) or not 0.0 <= rate <= 1.0:
+            if not _within(rate, 0.0, 1.0):
                 raise ValueError("jump rate must be in [0, 1]")
             if not (isinstance(low, Real) and isinstance(high, Real)
                     and -np.inf < low <= high < np.inf):
                 raise ValueError("jump low and high must be finite with low <= high")
             indices = self.sparse_jumps.get("indices", range(self.k))
             if np.ndim(indices) != 1 or not all(
-                    isinstance(j, (int, np.integer)) and not isinstance(j, bool)
-                    and 0 <= j < self.k for j in indices):
+                    _within(j, 0, self.k - 1, Integral) for j in indices):
                 raise ValueError(f"jump indices must be integers in [0, {self.k})")
         object.__setattr__(self, "init", init)
         object.__setattr__(self, "rw_sd", rw_sd)
@@ -174,9 +191,7 @@ def gen_graph(g: GraphGen, target_density: Optional[float] = 0.15):
     rng = np.random.default_rng(g.seed)
     n = g.n_nodes
     if g.kind == "sbm":
-        sizes = list(g.params["block_sizes"])
-        if sum(sizes) != n:
-            raise ValueError("block sizes must sum to n_nodes")
+        sizes = g.params["block_sizes"]
         p_in, p_out = g.params["p_in"], g.params["p_out"]
         labels = np.repeat(np.arange(len(sizes)), sizes)
         same = labels[:, None] == labels[None, :]
@@ -185,13 +200,11 @@ def gen_graph(g: GraphGen, target_density: Optional[float] = 0.15):
         np.fill_diagonal(a, 0.0)
     elif g.kind == "scale_free":
         a = _barabasi_albert_adjacency(n, g.params.get("m_attach", 1), int(g.seed))
-    elif g.kind == "latent_distance":
+    else:  # latent_distance, the one other kind GraphGen admits
         a = _latent_distance_adjacency(
             n, g.params.get("dim", 2), g.params.get("scale", 1.0), rng,
             target_density,
         )
-    else:  # pragma: no cover - blocked by GraphGen validation
-        raise ValueError(f"unknown graph kind {g.kind!r}")
     adj = Adjacency(a)
     return row_normalize(adj), adj
 

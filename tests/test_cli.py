@@ -294,6 +294,48 @@ class TestConfigErrors:
         assert not (out / "panel.csv").exists()
 
     @pytest.mark.parametrize("command, change", [
+        ("simulate", {"graph": {"kind": "sbm", "n_nodes": 8,
+                                "params": {"p_in": 0.8, "p_out": 0.2}}}),
+        ("simulate", {"graph": {"kind": "sbm", "n_nodes": 8, "params": [1]}}),
+        ("simulate", {"graph": {"kind": "sbm", "n_nodes": 8,
+                                "params": {"block_sizes": [4, 4], "p_in": "x",
+                                           "p_out": 0.2}}}),
+        ("simulate", {"graph": {"kind": "scale_free", "n_nodes": 8,
+                                "params": {"m_attach": 2.5}}}),
+        ("simulate", {"coeffs": {"init": {"a": 1}}}),
+        ("simulate", {"coeffs": {"sparse_jumps": [1]}}),
+        ("evaluate", {"origins": 5}),
+        ("evaluate", {"origins": [[1]]}),
+        ("evaluate", {"origins": [0.5, 1.7]}),
+        ("evaluate", {"n_origins": 0}),
+        ("evaluate", {"horizons": [1.5, 2.9]}),
+    ], ids=["sbm_no_block_sizes", "params_list", "p_in_string",
+            "m_attach_fraction", "init_dict", "sparse_jumps_list",
+            "origins_number", "origins_nested", "origins_fractional",
+            "no_origins", "horizons_fractional"])
+    def test_malformed_setting_exit_2(self, tmp_path, capsys, sim_config,
+                                      command, change):
+        out = tmp_path / "o"
+        if command == "simulate":
+            cfg = {**json.loads(Path(sim_config).read_text()), **change}
+            data = []
+        else:
+            sim_out = tmp_path / "sim"
+            run_cli(["simulate", "--config", sim_config,
+                     "--out", str(sim_out), "--seed", "0"])
+            cfg = {"model": "gaussian", "p": 1, "sigma2": 0.25,
+                   "horizons": [1], **change}
+            data = ["--panel", str(sim_out / "panel.csv"),
+                    "--weight", str(sim_out / "weight.csv")]
+        code = run_cli([command, "--config",
+                        write_json(tmp_path / "c.json", cfg),
+                        "--out", str(out), "--seed", "0", *data])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (out / "panel.csv").exists()
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("command, change", [
         ("fit", {"sigma2": [0.25]}), ("forecast", {"horizon": {"h": 2}}),
         ("evaluate", {"horizons": 4}),
     ], ids=["fit_sigma2", "forecast_horizon", "evaluate_horizons"])

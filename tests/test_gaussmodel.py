@@ -412,9 +412,11 @@ class TestMcForecastGaussian:
     @pytest.mark.parametrize("noise", ["diagonal", "full"])
     def test_draw_count_invariance_at_larger_n(self, n, noise):
         # At these N, BLAS computes a row of a 10-row product in another
-        # order than the same row of a 70-row one; every product over the
-        # draws runs on whole 64-row slabs, so the draws stay equal. With
-        # full R the observation noise goes through an N x N product too.
+        # order than the same row of a 70- or 130-row one; every product
+        # over the draws runs on whole 64-row slabs, so the draws stay
+        # equal. With full R the observation noise goes through an N x N
+        # product too; with lag 2 and powers (1, 2), W^2 Y is two, and F
+        # is one more.
         w = make_w(n=n, density=0.1)
         panel, _ = simulate_panel(w, t_len=20)
         rng = np.random.default_rng(n)
@@ -423,13 +425,21 @@ class TestMcForecastGaussian:
         else:
             a = rng.standard_normal((n, n))
             obs_noise = ObsNoise("full", 0.2 * np.eye(n) + 0.05 * a @ a.T / n)
-        spec = GaussianSpec(recipe=DesignRecipe(), obs_noise=obs_noise,
-                            state_noise=StateNoiseSpec.constant(1e-4 * np.eye(3)))
-        run = fit_gaussian(panel, w, None, spec)
-        small = mc_forecast_gaussian(run, spec, 3, 10, rng_seed=3)
-        large = mc_forecast_gaussian(run, spec, 3, 70, rng_seed=3)
-        for ds, dl in zip(small, large):
-            assert np.array_equal(ds["draws"], dl["draws"][:10])
+        for recipe in (DesignRecipe(),
+                       DesignRecipe(lag_order=2, network_powers=(1, 2))):
+            k = recipe.n_cols
+            for f in (None, 0.9 * np.eye(k) + 0.05 * np.eye(k, k=1)):
+                spec = GaussianSpec(recipe=recipe, obs_noise=obs_noise,
+                                    state_noise=StateNoiseSpec(
+                                        mode="constant", q=1e-4 * np.eye(k),
+                                        transition=f))
+                run = fit_gaussian(panel, w, None, spec)
+                small = mc_forecast_gaussian(run, spec, 3, 10, rng_seed=3)
+                for n_large in (70, 130):
+                    large = mc_forecast_gaussian(run, spec, 3, n_large,
+                                                 rng_seed=3)
+                    for ds, dl in zip(small, large):
+                        assert np.array_equal(ds["draws"], dl["draws"][:10])
 
     def test_horizon_invariance(self):
         w = make_w()

@@ -338,8 +338,9 @@ class TestMcForecast:
     @pytest.mark.parametrize("n", [50, 100])
     def test_draw_count_invariance_at_larger_n(self, n):
         # At these N, BLAS computes a row of the 10-row Y @ W' in another
-        # order than the same row of a 70-row one; both run on whole
-        # 64-row slabs, so the intensities stay equal.
+        # order than the same row of a 70- or 130-row one; all run on
+        # whole 64-row slabs, so the intensities stay equal. With lag 2
+        # and powers (1, 2), W^2 Y is two slab products; F is one more.
         rng = np.random.default_rng(n)
         a = (rng.random((n, n)) < 0.1) * 1.0
         np.fill_diagonal(a, 0.0)
@@ -347,13 +348,22 @@ class TestMcForecast:
         np.fill_diagonal(a, 0.0)
         w = row_normalize(Adjacency(a))
         panel, _ = simulate_counts(w, t_len=30)
-        spec = default_spec()
-        run = fit_poisson(panel, w, spec)
-        small = mc_forecast(run, spec, 3, 10, StabilizerConfig(), rng_seed=3)
-        large = mc_forecast(run, spec, 3, 70, StabilizerConfig(), rng_seed=3)
-        for es, el in zip(small, large):
-            assert np.array_equal(es.intensities, el.intensities[:10])
-            assert np.array_equal(es.counts, el.counts[:10])
+        for recipe in (DesignRecipe(),
+                       DesignRecipe(lag_order=2, network_powers=(1, 2))):
+            k = recipe.n_cols
+            for f in (None, 0.9 * np.eye(k) + 0.05 * np.eye(k, k=1)):
+                spec = PoissonSpec(recipe=recipe, state_noise=StateNoiseSpec(
+                    mode="constant", q=1e-4 * np.eye(k), transition=f))
+                run = fit_poisson(panel, w, spec)
+                small = mc_forecast(run, spec, 3, 10, StabilizerConfig(),
+                                    rng_seed=3)
+                for n_large in (70, 130):
+                    large = mc_forecast(run, spec, 3, n_large,
+                                        StabilizerConfig(), rng_seed=3)
+                    for es, el in zip(small, large):
+                        assert np.array_equal(es.intensities,
+                                              el.intensities[:10])
+                        assert np.array_equal(es.counts, el.counts[:10])
 
     def test_fallback_streams_only_where_needed(self, monkeypatch):
         # At high intensities each horizon adds its fallback stream, keyed

@@ -85,6 +85,29 @@ class TestGenGraph:
         with pytest.raises(ValueError, match="unknown graph kind"):
             GraphGen(kind="ring", n_nodes=4, seed=0)
 
+    @pytest.mark.parametrize("kind, params, word", [
+        ("sbm", [1], "params"),
+        ("sbm", {"p_in": 0.5, "p_out": 0.1}, "block_sizes"),
+        ("sbm", {"block_sizes": [2, 1], "p_in": 0.5, "p_out": 0.1},
+         "block_sizes"),
+        ("sbm", {"block_sizes": [4, 0], "p_in": 0.5, "p_out": 0.1},
+         "block_sizes"),
+        ("sbm", {"block_sizes": [2.5, 1.5], "p_in": 0.5, "p_out": 0.1},
+         "block_sizes"),
+        ("sbm", {"block_sizes": [2, 2], "p_in": "x", "p_out": 0.1}, "p_in"),
+        ("sbm", {"block_sizes": [2, 2], "p_in": 0.5}, "p_out"),
+        ("sbm", {"block_sizes": [2, 2], "p_in": True, "p_out": 0.1}, "p_in"),
+        ("latent_distance", {"scale": "1"}, "scale"),
+        ("latent_distance", {"scale": float("nan")}, "scale"),
+        ("latent_distance", {"dim": 2.0}, "dim"),
+        ("latent_distance", {"dim": 0}, "dim"),
+        ("scale_free", {"m_attach": 2.5}, "m_attach"),
+        ("scale_free", {"m_attach": True}, "m_attach"),
+    ])
+    def test_malformed_params(self, kind, params, word):
+        with pytest.raises(ValueError, match=word):
+            GraphGen(kind=kind, n_nodes=4, seed=0, params=params)
+
 
 class TestGenCoeffPaths:
     def test_constant_when_no_noise(self):
