@@ -85,10 +85,18 @@ def float_array(val) -> np.ndarray:
     return np.asarray(val, dtype=float)
 
 
-def int_list(val) -> list:
-    if not (isinstance(val, list) and all(type(v) is int for v in val)):
-        raise TypeError("not a list of integers; a bool is not one")
+def integer(val) -> int:
+    """An int as JSON gives it: 20.7 is rejected, not truncated, and so is
+    a bool, which Python counts an int."""
+    if type(val) is not int:
+        raise TypeError("not an integer; a decimal number or bool is not one")
     return val
+
+
+def int_list(val) -> list:
+    if not isinstance(val, list):
+        raise TypeError("not a list")
+    return [integer(v) for v in val]
 
 
 def _state_noise_from_config(cfg: dict, k: int) -> StateNoiseSpec:
@@ -107,11 +115,11 @@ def _state_noise_from_config(cfg: dict, k: int) -> StateNoiseSpec:
 
 
 def _recipe_from_config(cfg: dict) -> DesignRecipe:
-    p = _value(cfg, "p", int, 1)
+    p = _value(cfg, "p", integer, 1)
     if p < 1:
         raise ConfigError("p must be a positive integer")
     return DesignRecipe(lag_order=p,
-                        covariate_count=_value(cfg, "covariates", int, 0))
+                        covariate_count=_value(cfg, "covariates", integer, 0))
 
 
 def _model_spec(cfg: dict):
@@ -147,9 +155,9 @@ def _stabilizer(cfg: dict) -> StabilizerConfig:
 
 def _cmd_simulate(args, cfg: dict, out: Path):
     gcfg = _require(cfg, "graph", dict)
-    t_len = _value(cfg, "T", int)
+    t_len = _value(cfg, "T", integer)
     gen = GraphGen(kind=_require(gcfg, "kind", str),
-                   n_nodes=_value(gcfg, "n_nodes", int),
+                   n_nodes=_value(gcfg, "n_nodes", integer),
                    seed=args.seed, params=gcfg.get("params", {}))
     w, adj = gen_graph(gen)
     ccfg = _value(cfg, "coeffs", dict, {})
@@ -161,7 +169,7 @@ def _cmd_simulate(args, cfg: dict, out: Path):
         sparse_jumps=ccfg.get("sparse_jumps"),
         stability_multiplier=_value(ccfg, "c", float, 1.0),
     )
-    burn = _value(cfg, "burn_in", int, 0)
+    burn = _value(cfg, "burn_in", integer, 0)
     paths, jumps = gen_coeff_paths(spec, t_len + burn, args.seed + 1)
     model = cfg.get("model", "gaussian")
     if model == "gaussian":
@@ -208,14 +216,14 @@ def _cmd_fit(args, cfg: dict, out: Path):
 
 def _cmd_forecast(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
-    horizon = _value(cfg, "horizon", int, 8)
+    horizon = _value(cfg, "horizon", integer, 8)
     if cfg["model"] == "gaussian":
         fcs = forecast_gaussian(run, spec, horizon)
         mat = np.asarray([fc.mean for fc in fcs])
         nio.write_matrix_csv(out / "forecast_means.csv", mat)
     else:
         stab = _stabilizer(cfg)
-        n_draws = _value(cfg, "S", int, 300)
+        n_draws = _value(cfg, "S", integer, 300)
         ensembles = mc_forecast(run, spec, horizon, n_draws, stab, args.seed)
         mat = np.asarray([ensemble_stats(e)["mean"] for e in ensembles])
         nio.write_matrix_csv(out / "forecast_means.csv", mat)
@@ -233,8 +241,8 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
     if cfg.get("origins") is not None:
         origins = _value(cfg, "origins", int_list)
     else:
-        n_org = _value(cfg, "n_origins", int, 8)
-        last = panel.shape[0] - 1 - max(horizons)
+        n_org = _value(cfg, "n_origins", integer, 8)
+        last = panel.shape[0] - 1 - max(horizons, default=0)  # EvalPlan rejects []
         first = max(spec.recipe.lag_order, last - n_org + 1)
         origins = list(range(first, last + 1))
     plan = EvalPlan(origins=tuple(origins), horizons=horizons,
@@ -248,7 +256,7 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
             return [fc.mean for fc in forecast_gaussian(sub, spec, h_max)]
     else:
         stab = _stabilizer(cfg)
-        n_draws = _value(cfg, "S", int, 300)
+        n_draws = _value(cfg, "S", integer, 300)
 
         def fit_fn(p, wm):
             return fit_poisson(p, wm, spec)
@@ -306,8 +314,8 @@ def _cmd_diagnose(args, cfg: dict, out: Path):
 
 def _cmd_irf(args, cfg: dict, out: Path):
     w = nio.read_weight_csv(args.weight)
-    h = _value(cfg, "horizon", int)
-    node = _value(cfg, "shock_node", int, 0)
+    h = _value(cfg, "horizon", integer)
+    node = _value(cfg, "shock_node", integer, 0)
     beta1 = _value(cfg, "beta1", float)
     beta2 = _value(cfg, "beta2", float)
     b1_path = np.full(h + 1, beta1)
@@ -324,7 +332,7 @@ def _cmd_perturb(args, cfg: dict, out: Path):
     w = nio.read_weight_csv(args.weight)
     kind = _require(cfg, "kind", str)
     kwargs = {k: _value(cfg, k, cast) for k, cast in
-              (("frac", float), ("alpha", float), ("iters", int)) if k in cfg}
+              (("frac", float), ("alpha", float), ("iters", integer)) if k in cfg}
     w_pert = perturb(w, kind, rng_seed=args.seed, **kwargs)
     nio.write_matrix_csv(out / "weight_perturbed.csv", w_pert.entries)
     nio.write_manifest(out, cfg, args.seed, inputs=[args.config, args.weight])

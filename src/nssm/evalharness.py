@@ -29,6 +29,8 @@ class EvalPlan:
 
     def __post_init__(self):
         horizons = tuple(sorted(int(h) for h in self.horizons))
+        if not horizons:
+            raise ValueError("horizons must hold at least one horizon")
         if any(h < 1 for h in horizons):
             raise ValueError("horizons must be positive")
         object.__setattr__(self, "horizons", horizons)

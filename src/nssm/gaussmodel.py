@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from .design import (DesignRecipe, _by_slab, _w_at, build_design,
                      design_columns, design_stack, spillover_matrix)
 from .lgss import (Belief, FilterRun, NumericalError, StateNoiseSpec, _as_r,
-                   _collapsed_core, _state_q, _step, _time_update, run_filter)
+                   _block_steps, _state_q, _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
 from .lgss import predict, update
 
@@ -106,6 +106,16 @@ def _horizon_inputs(run: FilterRun, recipe: DesignRecipe, horizon: int,
     return list(zip(networks, covariates))
 
 
+def _origin(run: FilterRun, state_noise: StateNoiseSpec, p: int):
+    """Where a forecast from the end of ``run`` starts: the final filtered
+    mean and covariance, the Q of the first forecast step and the last
+    ``p`` observations, newest first."""
+    panel, t_last = run.context["panel"], run.context["obs_times"][-1]
+    q, _ = _state_q(state_noise, run.means[-2:], run.means.shape[1])
+    return (run.means[-1], run.covs[-1], q,
+            [panel[t_last - l] for l in range(p)])
+
+
 def _stream(rng_seed: int, h: int, kind: int) -> np.random.Generator:
     """The Monte-Carlo random stream of horizon ``h`` (0 for the initial
     draw) and variate ``kind``; see ``_simulate_draws``."""
@@ -146,20 +156,17 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     NumericalError when a horizon's block is not finite after ``observe``.
     """
     inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
-    panel, t_last = run.context["panel"], run.context["obs_times"][-1]
-    m, k = run.means[-1], run.means.shape[1]
-    f = state_noise.transition
-    q_mat, _ = _state_q(state_noise, run.means[-2:], k)
+    m, p_mat, q_mat, lags = _origin(run, state_noise, recipe.lag_order)
+    k, f = m.shape[0], state_noise.transition
     q_chol = np.linalg.cholesky(q_mat + 1e-14 * np.eye(k))
-    p_chol = np.linalg.cholesky(run.covs[-1] + 1e-12 * np.eye(k))
+    p_chol = np.linalg.cholesky(p_mat + 1e-12 * np.eye(k))
 
     stream = partial(_stream, rng_seed)
     theta = m + _by_slab(stream(0, 1).standard_normal((n_draws, k)),
                          p_chol.T)
     # Until the first draw is fed back, a lag is one length-N vector that
     # broadcasts against the S x N blocks.
-    lags = [panel[t_last - l + 1] for l in range(1, recipe.lag_order + 1)]
-    blocks = np.empty((horizon, n_draws, panel.shape[1]))
+    blocks = np.empty((horizon, n_draws, lags[0].shape[0]))
     for h, (w_h, z_h) in enumerate(inputs):
         if f is not None:
             theta = _by_slab(theta, f.T)
@@ -184,37 +191,16 @@ def fit_gaussian(panel: np.ndarray, w_seq, z, spec: GaussianSpec) -> FilterRun:
     """Kalman-filter the network TVP-VAR over a T x N panel.
 
     Observation times run from t = p (0-based) to T - 1; the design at t
-    uses lags panel[t-1], ..., panel[t-p] and the network at time t.
-    With diagonal R (scalar or diagonal noise) and K < N, X_t' R^-1 X_t
-    does not depend on the filter's state, so it is formed for all t in
-    one stacked product before the filter runs; each step then costs
-    O(NK) for its residual v = y_t - X_t m, X_t' R^-1 v and v' R^-1 v,
-    and K x K algebra for the update (``lgss._collapsed_core``). X' R^-1 v
-    comes from the residual, not as X' R^-1 y - X' R^-1 X m, which can
-    cancel when the fit is close to y. Full R, or K >= N, takes
-    ``lgss._step`` at each t.
+    uses lags panel[t-1], ..., panel[t-p] and the network at time t. The
+    steps are ``lgss._block_steps``'s: with diagonal R and K < N, each costs
+    O(NK) plus K x K algebra on X_t' R^-1 X_t, formed for all t beforehand.
     """
     panel = np.asarray(panel, dtype=float)
     if not np.all(np.isfinite(panel)):
         raise ValueError("panel contains non-finite values")
     r = spec.obs_noise.block_r(panel.shape[1])
-    return _fit_panel(panel, w_seq, z, spec, partial(_gaussian_steps, r))
-
-
-def _gaussian_steps(r, x, y):
-    """fit_gaussian's measurement step over the stacked designs ``x`` and
-    observations ``y``, for observation noise ``r`` as ``block_r`` gives it."""
-    if r.ndim == 2 or x.shape[2] >= x.shape[1]:
-        return lambda i, m, p: _step(m, p, x[i], r, y[i])
-    x_r = x / r[:, None]
-    info = x_r.transpose(0, 2, 1) @ x
-    log_det_r = float(np.sum(np.log(r)))
-
-    def collapsed_step(i, m, p):
-        v = y[i] - x[i] @ m
-        return _collapsed_core(m, p, info[i], x_r[i].T @ v, float(v @ (v / r)),
-                               log_det_r, len(v))
-    return collapsed_step
+    return _fit_panel(panel, w_seq, z, spec,
+                      lambda x, y: _block_steps(x, r, y))
 
 
 def _fit_panel(panel, w_seq, z, spec, steps) -> FilterRun:
@@ -230,7 +216,7 @@ def _fit_panel(panel, w_seq, z, spec, steps) -> FilterRun:
     x, y = design_stack(w_seq, panel, z, spec.recipe), panel[p:]
     run = run_filter(init.mean, init.cov, t_len - p, spec.state_noise,
                      steps(x, y), t0=p)
-    run.context = {"panel": panel, "w_seq": w_seq, "z": z, "spec": spec,
+    run.context = {"panel": panel, "w_seq": w_seq, "z": z,
                    "obs_times": list(range(p, t_len))}
     return run
 
@@ -310,19 +296,12 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
             "closed-form multi-horizon forecasting supports lag order 1 with "
             "network power 1; use the Monte-Carlo mode for other recipes"
         )
-    ctx = run.context
-    panel = ctx["panel"]
-    t_last = ctx["obs_times"][-1]
-    n = panel.shape[1]
-
-    m, p_state = run.means[-1], run.covs[-1]
-    q_mat, _ = _state_q(spec.state_noise, run.means[-2:], m.shape[0])
-    f = spec.state_noise.transition
+    m, p_state, q_mat, (y_prev,) = _origin(run, spec.state_noise, 1)
+    n, f = y_prev.shape[0], spec.state_noise.transition
     r_mat = spec.obs_noise.matrix(n)
     i_net, i_own = _beta_indices(spec.recipe)
 
     inputs = _horizon_inputs(run, spec.recipe, horizon, future_w, future_z)
-    y_prev = panel[t_last]
     sigma_prev = np.zeros((n, n))
     forecasts = []
     for k, (w_k, z_k) in enumerate(inputs, start=1):
@@ -359,11 +338,12 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")
-    r_chol = np.linalg.cholesky(
-        spec.obs_noise.matrix(run.context["panel"].shape[1]))
+    # chol(R), formed once at the N of the draw blocks.
+    r_chol = cache(lambda n: np.linalg.cholesky(spec.obs_noise.matrix(n)))
 
     def observe(h, block, rng):
-        block += _by_slab(rng.standard_normal(block.shape), r_chol.T)
+        block += _by_slab(rng.standard_normal(block.shape),
+                          r_chol(block.shape[1]).T)
         return block
 
     draws = _simulate_draws(run, spec.recipe, spec.state_noise, horizon,
@@ -422,16 +402,17 @@ def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
                                 edge_obs[t]) for t in range(p, t_len)], dtype=float)
     h_node = np.concatenate([x, np.zeros((t_len - p, n, k_e))], axis=2)
     h_edge = np.hstack([np.zeros((m_e, k_n)), loading])
-    u, r_node = _as_r(edge.u), spec.obs_noise.block_r(n)
+    u = _as_r(edge.u)
+    node_step = _block_steps(h_node, spec.obs_noise.block_r(n), panel[p:])
 
     def edge_then_node(i, m, cov):
         m, cov, ll_edge = _step(m, cov, h_edge, u, edge_obs[p + i])
-        m, cov, ll_node = _step(m, cov, h_node[i], r_node, panel[p + i])
+        m, cov, ll_node = node_step(i, m, cov)
         return m, cov, ll_edge + ll_node
 
     run = run_filter(mean0, spec.p0_scale * np.eye(dim), t_len - p,
                      StateNoiseSpec(q=q_joint, transition=f_joint),
                      edge_then_node, t0=p)
-    run.context = {"panel": panel, "w_seq": w_seq, "z": None, "spec": spec,
+    run.context = {"panel": panel, "w_seq": w_seq, "z": None,
                    "obs_times": list(range(p, t_len))}
     return run

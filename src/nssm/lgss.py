@@ -2,15 +2,16 @@
 
 One filter kernel, ``run_filter``, serves all four models. It predicts
 with ``_time_update``, stores the moments in arrays and calls the model's
-measurement step, which is all a model passes in: one ``_step`` for the
-Gaussian network TVP-VAR (with diagonal R, ``_collapsed_core`` on its
-precomputed X' R^-1 X), a pseudo-observation ``_step`` for the Poisson
-DGLM, an edge then a node ``_step`` for the joint node-edge model, and
-the sweep of conditional ``_step``s for the CP tensor state. The public
-``predict`` and ``update`` take one step on validated ``Belief`` and
-``ObsBlock`` objects; ``update`` wraps ``_step``. Also: RTS smoothing
-(which predicts through ``_time_update`` too), the innovations
-log-likelihood and the threshold-driven state-noise rule.
+measurement step, which is all a model passes in. ``_block_steps`` makes
+every measurement step and is the only code that picks the collapsed or
+the gain form: the Gaussian network TVP-VAR and the joint model's node
+block take its steps over their stacked designs, and ``_step``, its
+one-block case, serves the Poisson DGLM, the joint model's edge block and
+the CP tensor state's sweep. The public ``predict`` and ``update`` take one
+step on validated ``Belief`` and ``ObsBlock`` objects; ``update`` wraps
+``_step``. Also: RTS smoothing (which predicts through ``_time_update``
+too), the innovations log-likelihood and the threshold-driven state-noise
+rule.
 """
 
 from __future__ import annotations
@@ -252,7 +253,15 @@ def update(b: Belief, obs: ObsBlock) -> Tuple[Belief, float]:
 def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
           y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
     """Measurement update on arrays: posterior mean, covariance and the
-    innovation log-density of y under N(H m, S), S = H P H' + R.
+    innovation log-density of y under N(H m, S), S = H P H' + R; the
+    one-block case of ``_block_steps``."""
+    return _block_steps(h[None], r, y[None])(0, m, p)
+
+
+def _block_steps(x: np.ndarray, r: np.ndarray, y: np.ndarray) -> Callable:
+    """The measurement step ``update(i, m, p) -> (m, p, loglik)`` of
+    ``run_filter`` for the stacked blocks (H_i, R, y_i): ``x`` is T x M x K,
+    ``y`` is T x M and ``r`` is shared by every block.
 
     Two algebraically equal forms; the input picks one:
 
@@ -264,21 +273,30 @@ def _step(m: np.ndarray, p: np.ndarray, h: np.ndarray, r: np.ndarray,
       cost is O(M K^2) (Durbin & Koopman 2012, ch. 6; Jungbacker &
       Koopman 2015). The condition estimate is lambda_max(C), the
       condition number of R^-1/2 S R^-1/2 (its other eigenvalues are 1),
-      and exactly cond(S) for R = r I. ``_step_collapsed`` reduces the
-      block to H' R^-1 H, H' R^-1 v, v' R^-1 v and log|R| in O(M K^2);
-      ``_collapsed_core`` does the rest in O(K^3). A fit that has
-      H' R^-1 H for every step beforehand calls the core directly.
+      and exactly cond(S) for R = r I. H' R^-1 H, which does not depend
+      on the state, is formed for all blocks in one stacked product; a
+      step forms H' R^-1 v from its residual v (H' R^-1 y - H' R^-1 H m
+      can cancel when the fit is close to y) and v' R^-1 v, and
+      ``_collapsed_core`` does the rest in O(K^3).
     - gain form otherwise (full R, or K >= M): with S = L L', one numpy
       solve gives a = L^-1 v and B = L^-1 H P, and the posterior is
       (m + B'a, P - B'B), the standard update P - P H' S^-1 H P without
       the Joseph form; v' S^-1 v = a'a (Durbin & Koopman 2012, sec. 4.3).
 
-    Raises SingularInnovationError when the form's condition estimate
-    exceeds 1e14 or is not finite.
+    A step raises SingularInnovationError when the form's condition
+    estimate exceeds 1e14 or is not finite.
     """
-    if r.ndim == 1 and m.shape[0] < r.shape[0]:
-        return _step_collapsed(m, p, h, r, y)
-    return _step_gain(m, p, h, r, y)
+    if r.ndim == 2 or x.shape[2] >= x.shape[1]:
+        return lambda i, m, p: _step_gain(m, p, x[i], r, y[i])
+    x_r = x / r[:, None]
+    info = x_r.transpose(0, 2, 1) @ x
+    log_det_r = float(np.sum(np.log(r)))
+
+    def collapsed_step(i, m, p):
+        v = y[i] - x[i] @ m
+        return _collapsed_core(m, p, info[i], x_r[i].T @ v, float(v @ (v / r)),
+                               log_det_r, len(v))
+    return collapsed_step
 
 
 def _step_gain(m, p, h, r, y):
@@ -302,13 +320,6 @@ def _step_gain(m, p, h, r, y):
     loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
                      + 2.0 * float(np.sum(np.log(diag))) + float(a @ a))
     return m + b.T @ a, _symmetrize(p - b.T @ b), loglik
-
-
-def _step_collapsed(m, p, h, r, y):
-    v = y - h @ m
-    h_r = h / r[:, None]
-    return _collapsed_core(m, p, h_r.T @ h, h_r.T @ v, float(v @ (v / r)),
-                           float(np.sum(np.log(r))), len(v))
 
 
 def _collapsed_core(m, p, info, score, v_r_v, log_det_r, n_obs):

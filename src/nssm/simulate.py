@@ -279,17 +279,16 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
     out[0] = y
     max_norm = 0.0
     for t in range(1, total):
-        w_t = _w_at(w_or_seq, t).entries
+        w_t = _w_at(w_or_seq, t)
         b0, b1, b2 = paths[t, 0], paths[t, 1], paths[t, 2]
         # Cheap sufficient check first: sqrt(norm_1 * norm_inf) bounds the
         # operator norm, so the SVD runs only near or over the stability
         # boundary.
-        bound_inf = abs(b1) * np.max(np.abs(w_t).sum(axis=1)) + abs(b2)
-        bound_one = abs(b1) * np.max(np.abs(w_t).sum(axis=0)) + abs(b2)
+        bound_inf = abs(b1) * np.max(np.abs(w_t.entries).sum(axis=1)) + abs(b2)
+        bound_one = abs(b1) * np.max(np.abs(w_t.entries).sum(axis=0)) + abs(b2)
         if np.sqrt(bound_inf * bound_one) > 1.0:
-            b_t = b1 * w_t + b2 * np.eye(n)
-            max_norm = max(max_norm, operator_norm(b_t))
-        mean = b0 + b1 * (w_t @ out[t - 1]) + b2 * out[t - 1]
+            max_norm = max(max_norm, operator_norm(spillover_matrix(b1, b2, w_t)))
+        mean = b0 + b1 * (w_t.entries @ out[t - 1]) + b2 * out[t - 1]
         if z is not None and gamma is not None:
             mean = mean + np.asarray(z[t]) @ np.asarray(gamma)
         out[t] = mean + sd * rng.standard_normal(n)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -175,22 +175,21 @@ def _mode_slices(rank: int, n: int, p: int):
 
 def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
                           q_scale: float = 1e-3, r_scale: float = 1.0,
-                          sweep_schedule: Sequence[int] = (1, 2, 3),
                           n_sweeps: int = 2, p0_scale: float = 1.0,
                           init_seed: int = 0) -> FilterRun:
     """Alternating blockwise conditional filter over the stacked CP state.
 
     All three mode blocks evolve as independent random walks with noise
     q_scale * I. Each time step predicts the joint state (``run_filter``),
-    then for each mode in the sweep schedule (repeated ``n_sweeps`` times)
-    runs one conditional Gaussian update holding the other blocks at their
-    current means. Approximate: the exact joint posterior is non-Gaussian.
-    An all-zero conditional design skips that update with a warning.
+    then sweeps modes 1, 2 and 3 ``n_sweeps`` times, each a conditional
+    Gaussian update holding the other blocks at their current means.
+    Approximate: the exact joint posterior is non-Gaussian. An all-zero
+    conditional design skips that update with a warning.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if n_sweeps < 1 or len(sweep_schedule) == 0:
-        raise ValueError("n_sweeps must be >= 1 and sweep_schedule nonempty")
+    if n_sweeps < 1:
+        raise ValueError("n_sweeps must be >= 1")
     if not 0 <= p0_scale < np.inf:
         raise ValueError("p0_scale must be finite and nonnegative")
     panel = np.asarray(panel, dtype=float)
@@ -220,7 +219,7 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
         lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
         step_ll = None
         for _ in range(n_sweeps):
-            for mode in sweep_schedule:
+            for mode in (1, 2, 3):
                 factors = CPFactors.unstack(mean, rank, n, p)
                 h_block = conditional_design(factors, mode, lags)
                 if not np.any(h_block):
@@ -240,8 +239,8 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
 
     run = run_filter(mean0, p0_scale * np.eye(dim), t_len - p,
                      StateNoiseSpec.constant(q_scale * np.eye(dim)), sweep, t0=p)
-    run.context = {"panel": panel, "rank": rank, "p": p, "r_scale": r_scale,
-                   "q_scale": q_scale, "obs_times": list(range(p, t_len))}
+    run.context = {"panel": panel, "rank": rank, "p": p,
+                   "obs_times": list(range(p, t_len))}
     return run
 
 

@@ -354,6 +354,67 @@ class TestConfigErrors:
         assert err["error"] == "config"
         assert next(iter(change)) in err["message"]
 
+    @pytest.mark.parametrize("command, change, key", [
+        ("simulate", {"T": 20.7}, "T"),
+        ("simulate", {"burn_in": 2.5}, "burn_in"),
+        ("simulate", {"graph": {"kind": "sbm", "n_nodes": 8.5,
+                                "params": {"block_sizes": [4, 4], "p_in": 0.8,
+                                           "p_out": 0.2}}}, "n_nodes"),
+        ("forecast", {"p": 1.5}, "p"),
+        ("forecast", {"covariates": 0.5}, "covariates"),
+        ("forecast", {"horizon": 2.5}, "horizon"),
+        ("forecast", {"horizon": True}, "horizon"),
+        ("forecast", {"model": "poisson", "S": 300.9}, "S"),
+        ("evaluate", {"n_origins": 3.5}, "n_origins"),
+        ("irf", {"horizon": 3.5}, "horizon"),
+        ("irf", {"shock_node": 1.5}, "shock_node"),
+        ("perturb", {"kind": "rewire_degseq", "iters": 2.5}, "iters"),
+    ], ids=["T", "burn_in", "n_nodes", "p", "covariates", "horizon",
+            "horizon_bool", "S", "n_origins", "irf_horizon", "shock_node",
+            "iters"])
+    def test_fractional_integer_exit_2(self, tmp_path, capsys, sim_config,
+                                       poisson_sim, command, change, key):
+        # A fraction (or a bool) where an integer belongs is a config
+        # error, not a number to truncate.
+        sim_out = tmp_path / "sim"
+        if command == "simulate":
+            cfg = {**json.loads(Path(sim_config).read_text()), **change}
+            data = []
+        else:
+            run_cli(["simulate", "--config", sim_config,
+                     "--out", str(sim_out), "--seed", "0"])
+            cfg = {"model": "gaussian", "horizon": 2, "horizons": [1],
+                   "beta1": 0.3, "beta2": 0.4, **change}
+            data_dir = poisson_sim if cfg["model"] == "poisson" else sim_out
+            data = ["--weight", str(data_dir / "weight.csv")]
+            if command in ("forecast", "evaluate"):
+                data += ["--panel", str(data_dir / "panel.csv")]
+        out = tmp_path / "o"
+        code = run_cli([command, "--config",
+                        write_json(tmp_path / "c.json", cfg),
+                        "--out", str(out), "--seed", "0", *data])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"{key!r}" in err["message"]
+        assert list(out.iterdir()) == []
+
+    def test_empty_horizons_exit_2(self, tmp_path, capsys, sim_config):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        cfg = write_json(tmp_path / "c.json",
+                         {"model": "gaussian", "horizons": []})
+        out = tmp_path / "o"
+        code = run_cli(["evaluate", "--config", cfg, "--out", str(out),
+                        "--seed", "0", "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(sim_out / "weight.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "horizons" in err["message"]
+        assert not (out / "report.csv").exists()
+
     def test_bad_sigma2(self, tmp_path, capsys, sim_config):
         sim_out = tmp_path / "sim"
         run_cli(["simulate", "--config", sim_config,

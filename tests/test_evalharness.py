@@ -18,7 +18,8 @@ from nssm.evalharness import (
     tail_metrics,
     truncate_run,
 )
-from nssm.gaussmodel import GaussianSpec, fit_gaussian, forecast_gaussian
+from nssm.gaussmodel import (GaussianSpec, _origin, fit_gaussian,
+                             forecast_gaussian)
 from nssm.graph import Adjacency, row_normalize
 from nssm.lgss import FilterRun, StateNoiseSpec
 
@@ -62,6 +63,12 @@ class TestEvalPlan:
     def test_nonpositive_horizon(self):
         with pytest.raises(ValueError, match="positive"):
             EvalPlan(origins=(5,), horizons=(0, 1))
+
+    @pytest.mark.parametrize("t_len", [None, 20])
+    def test_no_horizons(self, t_len):
+        with pytest.raises(ValueError,
+                           match="horizons must hold at least one horizon"):
+            EvalPlan(origins=(5,), horizons=(), t_len=t_len)
 
 
 class TestScore:
@@ -292,6 +299,41 @@ class TestRollingEval:
             assert np.shares_memory(got, whole), name
             assert np.array_equal(got, whole[:14]), name
         assert full.n_steps == 24
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("mode", ["constant", "threshold"])
+    def test_origin_of_truncated_run(self, p, mode):
+        # A forecast from a truncated run starts where the full run's
+        # arrays say it should: the filtered moments at the origin, the Q
+        # the filter used for the next step, and the last p observations.
+        rng = np.random.default_rng(4)
+        w = small_w()
+        panel = rng.standard_normal((25, 6))
+        recipe = DesignRecipe(lag_order=p)
+        k = recipe.n_cols
+        noise = (StateNoiseSpec.constant(1e-3 * np.eye(k)) if mode == "constant"
+                 else StateNoiseSpec.threshold(np.full(k, 1e-4),
+                                               np.full(k, 1e-2),
+                                               np.full(k, 0.05)))
+        full = fit_gaussian(panel, w, None, GaussianSpec(recipe=recipe,
+                                                         state_noise=noise))
+        origin = 14
+        i = origin - p  # the step at the origin
+        m, cov, q, lags = _origin(truncate_run(full, origin), noise, p)
+        assert np.array_equal(m, full.means[i])
+        assert np.array_equal(cov, full.covs[i])
+        assert np.array_equal(full.pred_covs[i + 1], 0.5 * ((cov + q) + (cov + q).T))
+        if mode == "threshold":
+            s = full.threshold_states[i + 1]
+            # The regime changes at the origin, so Q from the wrong pair of
+            # means would show.
+            assert not np.array_equal(s, full.threshold_states[i])
+            assert np.array_equal(q, np.diag(noise.q0 + s * (noise.q1 - noise.q0)))
+        else:
+            assert q is noise.q
+        assert len(lags) == p
+        for l, lag in enumerate(lags):
+            assert np.array_equal(lag, panel[origin - l])
 
     def test_truncate_requires_observation_time(self):
         panel = np.ones((10, 2))

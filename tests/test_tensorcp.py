@@ -231,7 +231,6 @@ class TestAlternatingFilter:
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"n_sweeps": 0}, "n_sweeps"),
-        ({"sweep_schedule": ()}, "sweep_schedule"),
         ({"p0_scale": np.nan}, "p0_scale"),
         ({"p0_scale": -1.0}, "p0_scale"),
         ({"p0_scale": np.inf}, "p0_scale"),
@@ -239,7 +238,7 @@ class TestAlternatingFilter:
         ({"q_scale": -1e-3}, "negative eigenvalue"),
         ({"r_scale": np.nan}, "R must be finite"),
         ({"r_scale": np.inf}, "R must be finite"),
-    ], ids=["no_sweeps", "empty_schedule", "nan_p0", "negative_p0",
+    ], ids=["no_sweeps", "nan_p0", "negative_p0",
             "inf_p0", "nan_q", "negative_q", "nan_r", "inf_r"])
     def test_rejects_bad_settings(self, kwargs, match):
         # Input errors, raised before the first step: no sweep would return
