@@ -118,8 +118,10 @@ def _recipe_from_config(cfg: dict) -> DesignRecipe:
     p = _value(cfg, "p", integer, 1)
     if p < 1:
         raise ConfigError("p must be a positive integer")
-    return DesignRecipe(lag_order=p,
-                        covariate_count=_value(cfg, "covariates", integer, 0))
+    if _value(cfg, "covariates", integer, 0) != 0:
+        raise ConfigError("config key 'covariates' must be 0: the CLI reads "
+                          "no covariate input")
+    return DesignRecipe(lag_order=p)
 
 
 def _model_spec(cfg: dict):
@@ -290,9 +292,9 @@ def _cmd_diagnose(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     means = run.means
     labels = spec.recipe.column_labels()
-    i_net = labels.index("WY_lag_1")
-    i_own = labels.index("Y_lag_1")
-    rep = stability_report(means[:, i_net], means[:, i_own], w)
+    # B_1's columns: W Y_{t-1} (power 1) and the own lag Y_{t-1} (power 0).
+    lag1 = {r: j for j, r in spec.recipe.lag_columns()[0]}
+    rep = stability_report(means[:, lag1[1]], means[:, lag1[0]], w)
     table = np.column_stack([rep.op_norms, rep.spectral_radii,
                              rep.coefficient_proxy])
     nio.write_matrix_csv(out / "stability.csv", table,

@@ -37,30 +37,36 @@ class DesignRecipe:
         if self.n_cols == 0:
             raise ValueError("empty design: recipe selects no columns")
 
-    @property
-    def n_cols(self) -> int:
-        k = int(self.include_intercept)
-        if self.include_network_lags:
-            k += len(self.network_powers) * self.lag_order
-        if self.include_own_lags:
-            k += self.lag_order
-        k += self.covariate_count
-        return k
-
-    def column_labels(self) -> List[str]:
-        labels = []
+    def _columns(self) -> Iterator[tuple]:
+        """(label, lag, power) of each column in column order: power r for
+        a network lag W^r Y, 0 for an own lag, and lag and power None for
+        the intercept and the covariates."""
         if self.include_intercept:
-            labels.append("intercept")
+            yield "intercept", None, None
         if self.include_network_lags:
             for r in self.network_powers:
                 for lag in range(1, self.lag_order + 1):
-                    labels.append(f"W{r}Y_lag_{lag}" if r > 1 else f"WY_lag_{lag}")
+                    yield f"W{r if r > 1 else ''}Y_lag_{lag}", lag, r
         if self.include_own_lags:
             for lag in range(1, self.lag_order + 1):
-                labels.append(f"Y_lag_{lag}")
+                yield f"Y_lag_{lag}", lag, 0
         for m in range(1, self.covariate_count + 1):
-            labels.append(f"Z_col_{m}")
-        return labels
+            yield f"Z_col_{m}", None, None
+
+    @property
+    def n_cols(self) -> int:
+        return sum(1 for _ in self._columns())
+
+    def column_labels(self) -> List[str]:
+        return [label for label, _, _ in self._columns()]
+
+    def lag_columns(self) -> List[List[tuple]]:
+        """For each lag l = 1..p, the (column, power) pairs of the columns
+        on lag l: the lag matrix is B_l = sum of m[column] W^power, with
+        W^0 = I for the own lag."""
+        cols = list(enumerate(self._columns()))
+        return [[(j, r) for j, (_, lag, r) in cols if lag == l]
+                for l in range(1, self.lag_order + 1)]
 
 
 @dataclass(frozen=True)

@@ -82,17 +82,16 @@ def truncate_run(run: FilterRun, origin: int) -> FilterRun:
     ctx = run.context
     if ctx is None or "obs_times" not in ctx:
         raise ValueError("run lacks the context needed for truncation")
-    obs_times = ctx["obs_times"]
-    if origin not in obs_times:
+    k = origin - run.t0 + 1  # obs_times is range(t0, t0 + n_steps)
+    if not 0 < k <= run.n_steps:
         raise ValueError(f"origin {origin} is not an observation time")
-    k = obs_times.index(origin) + 1
     return replace(
         run, means=run.means[:k], covs=run.covs[:k],
         pred_means=run.pred_means[:k], pred_covs=run.pred_covs[:k],
         per_step_loglik=run.per_step_loglik[:k],
         threshold_states=(None if run.threshold_states is None
                           else run.threshold_states[:k]),
-        context={**ctx, "obs_times": obs_times[:k],
+        context={**ctx, "obs_times": ctx["obs_times"][:k],
                  "panel": ctx["panel"][:origin + 1]})
 
 

@@ -11,7 +11,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .design import (DesignRecipe, _by_slab, _w_at, build_design,
-                     design_columns, design_stack, spillover_matrix)
+                     design_columns, design_stack)
 from .lgss import (Belief, FilterRun, NumericalError, StateNoiseSpec, _as_r,
                    _block_steps, _state_q, _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
@@ -258,29 +258,20 @@ def select_hyperparams(panel, w_seq, z, base_spec: GaussianSpec, grid):
     return best[1], table
 
 
-def _beta_indices(recipe: DesignRecipe):
-    """Column indices of the network-lag-1 and own-lag-1 coefficients."""
-    labels = recipe.column_labels()
-    i_net = labels.index("WY_lag_1") if "WY_lag_1" in labels else None
-    i_own = labels.index("Y_lag_1") if "Y_lag_1" in labels else None
-    return i_net, i_own
-
-
-def _closed_form_supported(recipe: DesignRecipe) -> bool:
-    return recipe.lag_order == 1 and (
-        not recipe.include_network_lags or tuple(recipe.network_powers) == (1,)
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
                       future_w=None, future_z=None) -> List[GaussianForecast]:
     """Iterated h-step forecasts from the final filtered belief.
 
-    The predictive mean chains the recursion through the spillover matrix
-    built from the filtered coefficient means; the covariance propagates
-    observation noise, coefficient uncertainty, and the chained
-    linearization of past forecast uncertainty. Exact at h = 1.
+    Each horizon's design is built on the forecast means before it. For
+    any lag order and network powers, with the lag matrices
+    B_l = sum_r beta_{l,r} W^r + beta_{own,l} I of the horizon's
+    coefficient mean (``DesignRecipe.lag_columns``) and A = [B_1 ... B_p],
+    the covariance is X P X' + R + A S A': P is the coefficient variance
+    and S that of the stacked lag errors, newest first, which takes a
+    VAR(p)'s companion step (Lütkepohl 2005, 2.1). It is exact at h = 1,
+    and with known coefficients (P and Q zero) it is the VAR(p) forecast
+    MSE at every h.
     ``future_w``, if given, holds the network of each horizon (an oracle
     path, or an approximate network: ``future_w=[w_hat]`` at h = 1 is the
     plug-in forecast under w_hat); otherwise the last fitted network is
@@ -291,35 +282,37 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if not _closed_form_supported(spec.recipe):
-        raise ValueError(
-            "closed-form multi-horizon forecasting supports lag order 1 with "
-            "network power 1; use the Monte-Carlo mode for other recipes"
-        )
-    m, p_state, q_mat, (y_prev,) = _origin(run, spec.state_noise, 1)
-    n, f = y_prev.shape[0], spec.state_noise.transition
+    recipe, p = spec.recipe, spec.recipe.lag_order
+    m, p_state, q_mat, lags = _origin(run, spec.state_noise, p)
+    n, f = lags[0].shape[0], spec.state_noise.transition
     r_mat = spec.obs_noise.matrix(n)
-    i_net, i_own = _beta_indices(spec.recipe)
+    lag_columns = recipe.lag_columns()
+    powers = {r for cols in lag_columns for _, r in cols}
 
-    inputs = _horizon_inputs(run, spec.recipe, horizon, future_w, future_z)
-    sigma_prev = np.zeros((n, n))
+    inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
+    zeros, sigma = np.zeros((n, n)), np.zeros((p * n, p * n))
     forecasts = []
     for k, (w_k, z_k) in enumerate(inputs, start=1):
         # The coefficients step as in the filter's prediction: mean F m and
         # variance F P F' + Q, so P + h Q at horizon h when F is None.
         m, p_state = _time_update(m, p_state, q_mat, f)
-        x_k = build_design(w_k, [y_prev], z_k, spec.recipe)
+        x_k = build_design(w_k, lags, z_k, recipe)
         mean_k = x_k @ m
-        beta1 = m[i_net] if i_net is not None else 0.0
-        beta2 = m[i_own] if i_own is not None else 0.0
-        b_hat = spillover_matrix(float(beta1), float(beta2), w_k)
-        cov_k = x_k @ p_state @ x_k.T + r_mat + b_hat @ sigma_prev @ b_hat.T
+        ops = {r: np.linalg.matrix_power(w_k.entries, r) for r in powers}
+        # A = [B_1 ... B_p], B_l the sum of m[j] W^r over lag l's columns.
+        a = np.hstack([sum((m[j] * ops[r] for j, r in cols), zeros)
+                       for cols in lag_columns])
+        a_sigma = a @ sigma
+        cov_k = x_k @ p_state @ x_k.T + r_mat + a_sigma @ a.T
         cov_k = 0.5 * (cov_k + cov_k.T)
         if not (np.all(np.isfinite(mean_k)) and np.all(np.isfinite(cov_k))):
             raise NumericalError(f"forecast at horizon {k} is not finite")
         forecasts.append(GaussianForecast(mean=mean_k, cov=cov_k, horizon=k))
-        y_prev = mean_k
-        sigma_prev = cov_k
+        lags = [mean_k] + lags[:-1]
+        # The companion step: [[cov_k, C], [C', S_11]], C = (A S)[:, :(p-1)N].
+        sigma[n:, n:] = sigma[:-n, :-n]
+        sigma[:n, n:], sigma[n:, :n] = a_sigma[:, :-n], a_sigma[:, :-n].T
+        sigma[:n, :n] = cov_k
     return forecasts
 
 

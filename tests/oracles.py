@@ -279,6 +279,54 @@ def mc_forecast_gaussian_per_draw(run, spec, horizon, n_draws, rng_seed,
     return draws
 
 
+def forecast_gaussian_lag1(run, spec, horizon, future_w=None, future_z=None):
+    """The closed-form Gaussian forecast as written for p = 1 and network
+    power 1 alone: the spillover matrix beta1 W + beta2 I, its two
+    coefficients found by column label, carries the previous horizon's
+    forecast covariance. Returns the per-horizon (mean, cov) pairs."""
+    from nssm.design import spillover_matrix
+    from nssm.gaussmodel import _horizon_inputs, _origin
+    from nssm.lgss import _time_update
+
+    recipe = spec.recipe
+    assert recipe.lag_order == 1 and (not recipe.include_network_lags
+                                      or tuple(recipe.network_powers) == (1,))
+    labels = recipe.column_labels()
+    i_net = labels.index("WY_lag_1") if "WY_lag_1" in labels else None
+    i_own = labels.index("Y_lag_1") if "Y_lag_1" in labels else None
+    m, p_state, q_mat, (y_prev,) = _origin(run, spec.state_noise, 1)
+    n, f = y_prev.shape[0], spec.state_noise.transition
+    r_mat = spec.obs_noise.matrix(n)
+    sigma_prev = np.zeros((n, n))
+    out = []
+    for w_k, z_k in _horizon_inputs(run, recipe, horizon, future_w, future_z):
+        m, p_state = _time_update(m, p_state, q_mat, f)
+        x_k = build_design(w_k, [y_prev], z_k, recipe)
+        mean_k = x_k @ m
+        beta1 = m[i_net] if i_net is not None else 0.0
+        beta2 = m[i_own] if i_own is not None else 0.0
+        b_hat = spillover_matrix(float(beta1), float(beta2), w_k)
+        cov_k = x_k @ p_state @ x_k.T + r_mat + b_hat @ sigma_prev @ b_hat.T
+        cov_k = 0.5 * (cov_k + cov_k.T)
+        out.append((mean_k, cov_k))
+        y_prev, sigma_prev = mean_k, cov_k
+    return out
+
+
+def var_forecast_mse(lag_mats, r, horizon):
+    """h-step forecast MSE of a VAR(p) with known lag matrices B_1..B_p and
+    innovation covariance R, sum_{i<h} Phi_i R Phi_i' with the moving-
+    average matrices Phi_0 = I, Phi_i = sum_{l<=min(i,p)} B_l Phi_{i-l}
+    (Lutkepohl 2005, 2.2.2). Returns the MSEs at h = 1..horizon."""
+    n = r.shape[0]
+    phis = [np.eye(n)]
+    for i in range(1, horizon):
+        phis.append(sum(b @ phis[i - l]
+                        for l, b in enumerate(lag_mats[:i], start=1)))
+    return [sum(phi @ r @ phi.T for phi in phis[:h])
+            for h in range(1, horizon + 1)]
+
+
 # Per-step references for the filter kernel: the fit loops as they were
 # written before they shared one kernel, one validated predict, design and
 # update per time step.

@@ -9,8 +9,9 @@ import pytest
 
 import nssm
 from nssm.cli import main
-from nssm.io import (read_matrix_csv, read_panel_csv, sha256_file,
-                     write_panel_csv)
+from nssm.diagnostics import stability_report
+from nssm.io import (read_matrix_csv, read_panel_csv, read_weight_csv,
+                     sha256_file, write_panel_csv)
 
 
 def write_json(path, obj):
@@ -195,6 +196,54 @@ class TestPipeline:
         assert run_cli(["diagnose", "--config", model_cfg,
                         "--out", str(tmp_path / "diag")] + data) == 0
         assert "max op norm 0.6658" in capsys.readouterr().out
+
+
+    def test_gaussian_lag2_forecast_and_evaluate(self, tmp_path, sim_config):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "2"])
+        data = ["--seed", "2", "--panel", str(sim_out / "panel.csv"),
+                "--weight", str(sim_out / "weight.csv")]
+        cfg = {"model": "gaussian", "p": 2, "sigma2": 0.25}
+        fc_out = tmp_path / "fc"
+        assert run_cli(["forecast", "--config",
+                        write_json(tmp_path / "fc.json", {**cfg, "horizon": 4}),
+                        "--out", str(fc_out), *data]) == 0
+        mat = read_matrix_csv(fc_out / "forecast_means.csv")
+        assert mat.shape == (4, 8)
+        assert np.all(np.isfinite(mat))
+        eval_out = tmp_path / "eval"
+        eval_cfg = {**cfg, "horizons": [1, 2], "n_origins": 3}
+        assert run_cli(["evaluate", "--config",
+                        write_json(tmp_path / "eval.json", eval_cfg),
+                        "--out", str(eval_out), *data]) == 0
+        lines = (eval_out / "report.csv").read_text().splitlines()
+        assert len(lines) - 1 == 3 * 2 * 8 * 2
+
+    def test_diagnose_lag2_reports_b1(self, tmp_path, sim_config):
+        # For p = 2, diagnose reports B_1 = beta W + beta' I from the
+        # columns of W Y_{t-1} and Y_{t-1}, which are columns 1 and 3.
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "5"])
+        data = ["--seed", "5", "--panel", str(sim_out / "panel.csv"),
+                "--weight", str(sim_out / "weight.csv")]
+        cfg = write_json(tmp_path / "fit.json",
+                         {"model": "gaussian", "p": 2, "sigma2": 0.25})
+        fit_out, diag_out = tmp_path / "fit", tmp_path / "diag"
+        assert run_cli(["fit", "--config", cfg, "--out", str(fit_out),
+                        *data]) == 0
+        assert run_cli(["diagnose", "--config", cfg, "--out", str(diag_out),
+                        *data]) == 0
+        header = (fit_out / "filtered_means.csv").read_text().splitlines()[0]
+        assert header.split(",")[1::2] == ["WY_lag_1", "Y_lag_1"]
+        means = read_matrix_csv(fit_out / "filtered_means.csv",
+                                has_header=True)
+        rep = stability_report(means[:, 1], means[:, 3],
+                               read_weight_csv(sim_out / "weight.csv"))
+        table = read_matrix_csv(diag_out / "stability.csv", has_header=True)
+        assert np.array_equal(table, np.column_stack(
+            [rep.op_norms, rep.spectral_radii, rep.coefficient_proxy]))
 
 
 class TestDeterminism:
@@ -398,6 +447,31 @@ class TestConfigErrors:
         assert err["error"] == "config"
         assert f"{key!r}" in err["message"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "forecast", "evaluate",
+                                         "diagnose"])
+    def test_covariates_exit_2(self, tmp_path, capsys, sim_config, command):
+        # The CLI reads no covariate file, so a recipe with covariate
+        # columns could only fail later, for want of Z.
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        data = ["--seed", "0", "--panel", str(sim_out / "panel.csv"),
+                "--weight", str(sim_out / "weight.csv")]
+        cfg = write_json(tmp_path / "c.json",
+                         {"model": "gaussian", "covariates": 2})
+        out = tmp_path / "o"
+        assert run_cli([command, "--config", cfg, "--out", str(out),
+                        *data]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "'covariates'" in err["message"]
+        assert "no covariate input" in err["message"]
+        assert list(out.iterdir()) == []
+        cfg = write_json(tmp_path / "c.json",
+                         {"model": "gaussian", "covariates": 0})
+        assert run_cli([command, "--config", cfg, "--out", str(out),
+                        *data]) == 0
 
     def test_empty_horizons_exit_2(self, tmp_path, capsys, sim_config):
         sim_out = tmp_path / "sim"

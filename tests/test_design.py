@@ -39,6 +39,21 @@ class TestDesignRecipe:
             "Y_lag_1", "Y_lag_2", "Z_col_1",
         ]
 
+    def test_lag_columns(self):
+        r = DesignRecipe(lag_order=2, network_powers=(1, 2), covariate_count=1)
+        assert r.lag_columns() == [[(1, 1), (3, 2), (5, 0)],
+                                   [(2, 1), (4, 2), (6, 0)]]
+        # X m = m_0 + sum_l B_l y_l + Z m_z, B_l = sum of m[j] W^power.
+        rng = np.random.default_rng(2)
+        w = simple_w()
+        m, lags, z = rng.standard_normal(8), rng.standard_normal((2, 4)), \
+            rng.standard_normal((4, 1))
+        b = [sum(m[j] * np.linalg.matrix_power(w.entries, k) for j, k in cols)
+             for cols in r.lag_columns()]
+        x = build_design(w, list(lags), z, r)
+        assert np.allclose(x @ m, m[0] + b[0] @ lags[0] + b[1] @ lags[1]
+                           + z[:, 0] * m[7], atol=1e-12)
+
     def test_invalid_powers(self):
         with pytest.raises(ValueError, match="network_powers"):
             DesignRecipe(network_powers=(0,))

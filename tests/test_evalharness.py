@@ -35,13 +35,14 @@ def small_w(n=6, seed=0, p_edge=0.5):
 
 def dummy_run(panel, preds_by_origin=None):
     """Minimal causal run whose context carries the panel; forecasts are
-    looked up externally, so beliefs are placeholders."""
+    looked up externally, so beliefs are placeholders. Its steps are the
+    times 1..T-1, as a fit with p = 1 has them."""
     t_len, n = panel.shape
     obs_times = list(range(1, t_len))
     means, covs = np.zeros((len(obs_times), 1)), np.ones((len(obs_times), 1, 1))
     return FilterRun(
         means=means, covs=covs, pred_means=means, pred_covs=covs,
-        per_step_loglik=np.zeros(len(obs_times)),
+        per_step_loglik=np.zeros(len(obs_times)), t0=1,
         context={"panel": panel, "obs_times": obs_times,
                  "preds": preds_by_origin or {}},
     )
@@ -338,8 +339,10 @@ class TestRollingEval:
     def test_truncate_requires_observation_time(self):
         panel = np.ones((10, 2))
         run = dummy_run(panel)
-        with pytest.raises(ValueError, match="observation time"):
-            truncate_run(run, 0)
+        assert truncate_run(run, 9).n_steps == 9  # the last step, time 9
+        for origin in (0, 10):
+            with pytest.raises(ValueError, match="observation time"):
+                truncate_run(run, origin)
 
 
 class TestPairedDeltas:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -32,6 +36,12 @@ def make_w(n=6, seed=0, density=0.5):
 # A transition that is not symmetric, so a forecaster that applies F'
 # for F is caught.
 F_ASYM = np.array([[0.5, 0.2, 0.0], [0.0, 0.6, 0.0], [0.1, 0.0, 0.4]])
+
+
+# Recipes past the p = 1, power 1 case, for the forecaster's lag matrices.
+LAG_RECIPES = [DesignRecipe(lag_order=2), DesignRecipe(network_powers=(1, 2)),
+               DesignRecipe(lag_order=3, network_powers=(1, 2))]
+LAG_RECIPE_IDS = ["p2", "powers12", "p3_powers12"]
 
 
 def default_spec(q=1e-4, sigma2=0.25):
@@ -286,16 +296,108 @@ class TestForecastGaussian:
             mc_sd = draws["draws"].std(axis=0) / np.sqrt(4000)
             assert np.max(np.abs(fc.mean - mc_mean) / (4 * mc_sd + 1e-6)) < 2.5
 
-    def test_unsupported_recipe_refused(self):
+    @given(mode=st.sampled_from(["constant", "threshold"]),
+           transition=st.booleans(), covariates=st.sampled_from([0, 2]),
+           oracle_w=st.booleans(),
+           columns=st.sampled_from(["all", "no_intercept", "no_network",
+                                    "no_own", "intercept_only"]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_lag1_matches_closed_form_oracle(self, mode, transition,
+                                             covariates, oracle_w, columns,
+                                             seed):
+        # At p = 1 with power 1, A = B_1 is the spillover matrix and the
+        # stacked lag covariance is the previous horizon's: the moments
+        # are the p = 1 closed form's, bit for bit.
+        rng = np.random.default_rng(seed)
+        w = make_w(seed=seed)
+        recipe = DesignRecipe(
+            covariate_count=covariates,
+            include_intercept=columns != "no_intercept",
+            include_network_lags=columns not in ("no_network",
+                                                 "intercept_only"),
+            include_own_lags=columns not in ("no_own", "intercept_only"))
+        k = recipe.n_cols
+        noise = (StateNoiseSpec.constant(1e-3 * np.eye(k)) if mode == "constant"
+                 else StateNoiseSpec.threshold(np.full(k, 1e-4),
+                                               np.full(k, 1e-2),
+                                               np.full(k, 0.05)))
+        if transition:
+            noise = replace(noise, transition=0.9 * np.eye(k)
+                            + 0.02 * rng.standard_normal((k, k)))
+        spec = GaussianSpec(recipe=recipe, state_noise=noise,
+                            obs_noise=ObsNoise("diagonal",
+                                               rng.uniform(0.1, 0.5, 6)))
+        panel, _ = simulate_panel(w, t_len=30, seed=seed)
+        z = rng.standard_normal((30, 6, covariates)) if covariates else None
+        run = fit_gaussian(panel, w, z, spec)
+        future_w = [make_w(seed=seed + 1 + h) for h in range(4)] \
+            if oracle_w else None
+        future_z = rng.standard_normal((4, 6, covariates)) if covariates \
+            else None
+        got = forecast_gaussian(run, spec, 4, future_w, future_z)
+        want = oracles.forecast_gaussian_lag1(run, spec, 4, future_w, future_z)
+        for fc, (mean, cov) in zip(got, want):
+            assert np.array_equal(fc.mean, mean)
+            assert np.array_equal(fc.cov, cov)
+
+    @pytest.mark.parametrize("recipe", LAG_RECIPES, ids=LAG_RECIPE_IDS)
+    def test_h1_exact_moments_any_recipe(self, recipe):
         w = make_w()
-        recipe = DesignRecipe(lag_order=2)
-        spec = GaussianSpec(
-            recipe=recipe,
-            state_noise=StateNoiseSpec.constant(1e-4 * np.eye(recipe.n_cols)))
-        panel = np.zeros((10, 6))
-        run = fit_gaussian(panel + 1e-3, w, None, spec)
-        with pytest.raises(ValueError, match="Monte-Carlo"):
-            forecast_gaussian(run, spec, 2)
+        panel, _ = simulate_panel(w, t_len=40)
+        spec = GaussianSpec(recipe=recipe, obs_noise=ObsNoise("scalar", 0.25),
+                            state_noise=StateNoiseSpec.constant(
+                                1e-3 * np.eye(recipe.n_cols)))
+        run = fit_gaussian(panel, w, None, spec)
+        fc = forecast_gaussian(run, spec, 1)[0]
+        p = recipe.lag_order
+        x = build_design(w, [panel[-l] for l in range(1, p + 1)], None, recipe)
+        p_pred = run.covs[-1] + spec.state_noise.q
+        assert np.allclose(fc.mean, x @ run.means[-1], atol=1e-12)
+        assert np.allclose(fc.cov, x @ p_pred @ x.T + 0.25 * np.eye(6),
+                           atol=1e-12)
+
+    @pytest.mark.parametrize("recipe", LAG_RECIPES, ids=LAG_RECIPE_IDS)
+    def test_known_coefficients_give_var_mse(self, recipe):
+        # With P and Q zero the coefficients are known and the forecast
+        # errors are those of a VAR(p) with lag matrices B_l; the
+        # covariance is its forecast MSE at every horizon.
+        w = make_w()
+        panel, _ = simulate_panel(w, t_len=30)
+        k = recipe.n_cols
+        noise = ObsNoise("diagonal", np.linspace(0.1, 0.4, 6))
+        spec = GaussianSpec(recipe=recipe, obs_noise=noise,
+                            state_noise=StateNoiseSpec.constant(np.zeros((k, k))))
+        run = fit_gaussian(panel, w, None, spec)
+        theta = np.random.default_rng(3).uniform(-0.3, 0.3, k)
+        run = replace(run, means=np.tile(theta, (run.n_steps, 1)),
+                      covs=np.zeros_like(run.covs))
+        fcs = forecast_gaussian(run, spec, 4)
+        coef = dict(zip(recipe.column_labels(), theta))
+        lag_mats = [coef[f"Y_lag_{l}"] * np.eye(6)
+                    + sum(coef[f"W{r}Y_lag_{l}" if r > 1 else f"WY_lag_{l}"]
+                          * np.linalg.matrix_power(w.entries, r)
+                          for r in recipe.network_powers)
+                    for l in range(1, recipe.lag_order + 1)]
+        mse = oracles.var_forecast_mse(lag_mats, noise.matrix(6), 4)
+        for fc, want in zip(fcs, mse):
+            np.testing.assert_allclose(fc.cov, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("recipe", LAG_RECIPES, ids=LAG_RECIPE_IDS)
+    def test_multi_step_matches_mc_any_recipe(self, recipe):
+        # The same band as test_multi_step_matches_mc.
+        w = make_w(n=8, seed=5)
+        panel, _ = simulate_panel(w, t_len=60, seed=6)
+        spec = GaussianSpec(recipe=recipe, obs_noise=ObsNoise("scalar", 0.25),
+                            state_noise=StateNoiseSpec.constant(
+                                1e-6 * np.eye(recipe.n_cols)))
+        run = fit_gaussian(panel, w, None, spec)
+        fcs = forecast_gaussian(run, spec, 4)
+        mc = mc_forecast_gaussian(run, spec, 4, n_draws=4000, rng_seed=0)
+        for fc, draws in zip(fcs, mc):
+            mc_mean = draws["draws"].mean(axis=0)
+            mc_sd = draws["draws"].std(axis=0) / np.sqrt(4000)
+            assert np.max(np.abs(fc.mean - mc_mean) / (4 * mc_sd + 1e-6)) < 2.5
 
     def test_future_w_required_for_every_horizon(self):
         w = make_w()
