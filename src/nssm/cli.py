@@ -13,6 +13,7 @@ import numpy as np
 from . import io as nio
 from .design import DesignRecipe
 from .diagnostics import (
+    companion_radius,
     default_threshold,
     detect_breaks,
     hop_coefficients,
@@ -251,23 +252,18 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
                     t_len=panel.shape[0])
 
     if cfg["model"] == "gaussian":
-        def fit_fn(p, wm):
-            return fit_gaussian(p, wm, None, spec)
-
         def forecast_fn(sub, h_max):
             return [fc.mean for fc in forecast_gaussian(sub, spec, h_max)]
     else:
         stab = _stabilizer(cfg)
         n_draws = _value(cfg, "S", integer, 300)
 
-        def fit_fn(p, wm):
-            return fit_poisson(p, wm, spec)
-
         def forecast_fn(sub, h_max):
             ens = mc_forecast(sub, spec, h_max, n_draws, stab, args.seed)
             return [e.counts.mean(axis=0) for e in ens]
 
-    report = rolling_eval(fit_fn, forecast_fn, panel, w, plan)
+    # The pass over the whole panel is the one already fitted above.
+    report = rolling_eval(lambda *_: run, forecast_fn, panel, w, plan)
     rows = []
     for i, t in enumerate(report.origins):
         for j, h in enumerate(report.horizons):
@@ -292,9 +288,15 @@ def _cmd_diagnose(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     means = run.means
     labels = spec.recipe.column_labels()
+    lag_columns = spec.recipe.lag_columns()
     # B_1's columns: W Y_{t-1} (power 1) and the own lag Y_{t-1} (power 0).
-    lag1 = {r: j for j, r in spec.recipe.lag_columns()[0]}
+    lag1 = {r: j for j, r in lag_columns[0]}
     rep = stability_report(means[:, lag1[1]], means[:, lag1[0]], w)
+    verdict = f"contraction={rep.contraction}"
+    if len(lag_columns) > 1:  # B_1 alone does not decide a VAR(p)
+        rho = companion_radius(means, lag_columns, w)
+        verdict = (f"max companion spectral radius {rho:.4f}, "
+                   f"contraction={rho < 1.0}")
     table = np.column_stack([rep.op_norms, rep.spectral_radii,
                              rep.coefficient_proxy])
     nio.write_matrix_csv(out / "stability.csv", table,
@@ -307,8 +309,7 @@ def _cmd_diagnose(args, cfg: dict, out: Path):
             for t in times:
                 fh.write(f"{labels[j]},{t}\n")
     print(f"max op norm {rep.max_op_norm:.4f}, "
-          f"max spectral radius {rep.max_spectral_radius:.4f}, "
-          f"contraction={rep.contraction}")
+          f"max spectral radius {rep.max_spectral_radius:.4f}, {verdict}")
     nio.write_manifest(out, cfg, args.seed,
                        inputs=[args.config, args.panel, args.weight])
     return 0

@@ -253,6 +253,17 @@ def spillover_matrix(beta1: float, beta2: float, w: WeightMatrix) -> np.ndarray:
     return beta1 * w.entries + beta2 * np.eye(w.n_nodes)
 
 
+def lag_matrices(theta: np.ndarray, lag_columns,
+                 w: WeightMatrix) -> np.ndarray:
+    """A = [B_1 ... B_p] (N x pN), B_l the sum of theta[j] W^r over lag l's
+    (column j, power r) pairs (``DesignRecipe.lag_columns``, W^0 = I)."""
+    powers = {r for cols in lag_columns for _, r in cols}
+    ops = {r: np.linalg.matrix_power(w.entries, r) for r in powers}
+    zeros = np.zeros((w.n_nodes, w.n_nodes))
+    return np.hstack([sum((theta[j] * ops[r] for j, r in cols), zeros)
+                      for cols in lag_columns])
+
+
 def augment_summaries(x: np.ndarray, r: np.ndarray, aug: SummaryAugment):
     """Stack summary pseudo-observations below the N x K node design x.
 

@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import _w_at, spillover_matrix
+from .design import _w_at, lag_matrices, spillover_matrix
 from .graph import (
     InvariantVector,
     Partition,
@@ -84,6 +84,18 @@ def stability_report(beta1_path, beta2_path, w_seq) -> StabilityReport:
         max_op_norm=float(ops.max()), max_spectral_radius=float(rhos.max()),
         contraction=bool(ops.max() < 1.0),
     )
+
+
+def companion_radius(theta_path, lag_columns, w_seq) -> float:
+    """Largest spectral radius over t of the VAR(p) companion [[B_1 ... B_p],
+    [I, 0]], B_l = sum of theta_t[j] W_t^r over ``lag_columns[l - 1]``."""
+    rho = 0.0
+    for t, theta in enumerate(np.asarray(theta_path, dtype=float)):
+        a = lag_matrices(theta, lag_columns, _w_at(w_seq, t))
+        comp = np.eye(a.shape[1], k=-len(a))  # the [I, 0] rows
+        comp[:len(a)] = a
+        rho = max(rho, spectral_radius(comp))
+    return rho
 
 
 def hop_coefficients(beta1_path, beta2_path, t: int, h: int) -> HopDecomp:

@@ -11,7 +11,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .design import (DesignRecipe, _by_slab, _w_at, build_design,
-                     design_columns, design_stack)
+                     design_columns, design_stack, lag_matrices)
 from .lgss import (Belief, FilterRun, NumericalError, StateNoiseSpec, _as_r,
                    _block_steps, _state_q, _step, _time_update, run_filter)
 # Re-exported for perfbench/tracing.py, which wraps them by module attribute.
@@ -287,10 +287,9 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     n, f = lags[0].shape[0], spec.state_noise.transition
     r_mat = spec.obs_noise.matrix(n)
     lag_columns = recipe.lag_columns()
-    powers = {r for cols in lag_columns for _, r in cols}
 
     inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
-    zeros, sigma = np.zeros((n, n)), np.zeros((p * n, p * n))
+    sigma = np.zeros((p * n, p * n))
     forecasts = []
     for k, (w_k, z_k) in enumerate(inputs, start=1):
         # The coefficients step as in the filter's prediction: mean F m and
@@ -298,10 +297,7 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
         m, p_state = _time_update(m, p_state, q_mat, f)
         x_k = build_design(w_k, lags, z_k, recipe)
         mean_k = x_k @ m
-        ops = {r: np.linalg.matrix_power(w_k.entries, r) for r in powers}
-        # A = [B_1 ... B_p], B_l the sum of m[j] W^r over lag l's columns.
-        a = np.hstack([sum((m[j] * ops[r] for j, r in cols), zeros)
-                       for cols in lag_columns])
+        a = lag_matrices(m, lag_columns, w_k)
         a_sigma = a @ sigma
         cov_k = x_k @ p_state @ x_k.T + r_mat + a_sigma @ a.T
         cov_k = 0.5 * (cov_k + cov_k.T)

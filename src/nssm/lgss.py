@@ -59,6 +59,7 @@ class Belief:
 
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=float)
+        # A caller's covariance may be symmetric only up to rounding.
         p = _symmetrize(np.asarray(self.cov, dtype=float))
         if p.shape != (m.shape[0], m.shape[0]):
             raise ValueError("cov shape must match mean length")
@@ -95,6 +96,7 @@ class StateNoiseSpec:
         if self.mode == "constant":
             if self.q is None:
                 raise ValueError("constant mode requires q")
+            # A caller's Q, which the random walk's P + Q needs exact.
             q = _symmetrize(np.asarray(self.q, dtype=float))
             _check_psd(q, "state noise Q")
             object.__setattr__(self, "q", q)
@@ -217,16 +219,18 @@ class FilterRun:
 
 def _time_update(m: np.ndarray, p: np.ndarray, q: np.ndarray,
              f: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """``predict`` on arrays, without its check of Q: mean F m and
-    covariance F P F' + Q (F = I when None); ``q`` must be symmetric."""
+    """``predict`` on arrays, without its check of Q: mean F m and covariance
+    F P F' + Q (F = I when None); ``p`` and ``q`` must be exactly symmetric."""
     if f is None:
-        return m, _symmetrize(p + q)
+        return m, p + q
+    # F P F' is two general products, symmetric only up to rounding.
     return f @ m, _symmetrize(f @ p @ f.T + q)
 
 
 def predict(b: Belief, q_t: np.ndarray, f: Optional[np.ndarray] = None,
             time_index: Optional[int] = None) -> Belief:
     """One-step state prediction: mean F m, cov F P F' + Q."""
+    # A caller's Q_t, which ``_time_update`` needs exactly symmetric.
     q_t = _symmetrize(np.asarray(q_t, dtype=float))
     _check_psd(q_t, "state noise Q_t")
     mean, cov = _time_update(b.mean, b.cov, q_t,
@@ -278,8 +282,9 @@ def _block_steps(x: np.ndarray, r: np.ndarray, y: np.ndarray) -> Callable:
       step forms H' R^-1 v from its residual v (H' R^-1 y - H' R^-1 H m
       can cancel when the fit is close to y) and v' R^-1 v, and
       ``_collapsed_core`` does the rest in O(K^3).
-    - gain form otherwise (full R, or K >= M): with S = L L', one numpy
-      solve gives a = L^-1 v and B = L^-1 H P, and the posterior is
+    - gain form otherwise (full R, or K >= M): with S = L L', a = L^-1 v
+      and B = L^-1 H P come from L^-1 and one product when K + 1 > M, and
+      from one solve otherwise (``_step_gain``); the posterior is
       (m + B'a, P - B'B), the standard update P - P H' S^-1 H P without
       the Joseph form; v' S^-1 v = a'a (Durbin & Koopman 2012, sec. 4.3).
 
@@ -302,6 +307,7 @@ def _block_steps(x: np.ndarray, r: np.ndarray, y: np.ndarray) -> Callable:
 def _step_gain(m, p, h, r, y):
     r_mat = np.diag(r) if r.ndim == 1 else r
     hp = h @ p
+    # H P H' is two general products, symmetric only up to rounding.
     s = _symmetrize(hp @ h.T + r_mat)
     try:
         chol = np.linalg.cholesky(s)
@@ -313,13 +319,19 @@ def _step_gain(m, p, h, r, y):
     diag = np.diag(chol)
     _check_condition(float((diag.max() / diag.min()) ** 2))
     v = y - h @ m
-    # numpy solves, not scipy's: scipy loads its own OpenBLAS, and handing
-    # work between the two libraries' thread pools costs milliseconds.
-    half = np.linalg.solve(chol, np.column_stack([v, hp]))
+    # [a | B] = L^-1 [v | HP]. numpy's inv and solve both run a pivoted LU
+    # on L; inv then solves for M right-hand sides, solve for K + 1, so a
+    # wide state (K + 1 > M, the CP sweep) takes L^-1 and one product.
+    # Not scipy's triangular solve: scipy loads its own OpenBLAS, and
+    # handing work between the two thread pools costs milliseconds.
+    rhs = np.column_stack([v, hp])
+    half = (np.linalg.inv(chol) @ rhs if rhs.shape[1] > len(v)
+            else np.linalg.solve(chol, rhs))
     a, b = half[:, 0], half[:, 1:]
     loglik = -0.5 * (len(v) * math.log(2.0 * math.pi)
                      + 2.0 * float(np.sum(np.log(diag))) + float(a @ a))
-    return m + b.T @ a, _symmetrize(p - b.T @ b), loglik
+    # b.T @ b is a Gram (syrk) product, exactly symmetric, and so is P.
+    return m + b.T @ a, p - b.T @ b, loglik
 
 
 def _collapsed_core(m, p, info, score, v_r_v, log_det_r, n_obs):
@@ -346,7 +358,8 @@ def _collapsed_core(m, p, info, score, v_r_v, log_det_r, n_obs):
     a_c = (c_vec.T @ a) / np.sqrt(c_lam)
     loglik = -0.5 * (n_obs * math.log(2.0 * math.pi) + log_det_r
                      + float(np.sum(np.log(c_lam))) + v_r_v - float(a_c @ a_c))
-    return m + l_c @ a_c, _symmetrize(l_c @ l_c.T), loglik
+    # l_c @ l_c.T is a Gram (syrk) product: exactly symmetric as it is.
+    return m + l_c @ a_c, l_c @ l_c.T, loglik
 
 
 def _state_q(spec: StateNoiseSpec, filtered_means: Sequence[np.ndarray], k: int):
@@ -419,6 +432,7 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
     means, covs = run.means.copy(), run.covs.copy()
     for t in range(run.n_steps - 2, -1, -1):
         f = None if f_seq is None else np.asarray(f_seq[t], dtype=float)
+        # A caller's Q, which ``_time_update`` needs exactly symmetric.
         q_t = _symmetrize(np.asarray(q_seq[t], dtype=float))
         mf, pf = run.means[t], run.covs[t]
         mean_pred, cov_pred = _time_update(mf, pf, q_t, f)
@@ -430,6 +444,7 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
             )
         gain = np.linalg.solve(cov_pred, cross.T).T
         means[t] = mf + gain @ (means[t + 1] - mean_pred)
+        # G (P_s - P_pred) G' is general products, symmetric up to rounding.
         covs[t] = _symmetrize(pf + gain @ (covs[t + 1] - cov_pred) @ gain.T)
     return _beliefs(means, covs, run.t0)
 

@@ -124,7 +124,7 @@ class EdgePathSpec:
         s = np.atleast_2d(np.asarray(self.s_cov, dtype=float))
         if s.shape != (eta0.shape[0], eta0.shape[0]):
             raise ValueError("S must be p x p for eta0 of length p")
-        s = _symmetrize(s)
+        s = _symmetrize(s)  # a caller's S may be symmetric only up to rounding
         _check_psd(s, "edge state covariance S")
         object.__setattr__(self, "eta0", eta0)
         object.__setattr__(self, "s_cov", s)

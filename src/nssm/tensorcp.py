@@ -66,10 +66,12 @@ class CPFactors:
             raise ValueError(
                 f"stacked vector must have length R(2N+p) = {rank * (2 * n + p)}"
             )
-        a = rank * n
-        return cls(mode1=xi[:a].reshape(rank, n),
-                   mode2=xi[a:2 * a].reshape(rank, n),
-                   mode3=xi[2 * a:].reshape(rank, p))
+        # The length check implies the shapes __post_init__ would check.
+        a, f = rank * n, object.__new__(cls)
+        vars(f).update(mode1=xi[:a].reshape(rank, n),
+                       mode2=xi[a:2 * a].reshape(rank, n),
+                       mode3=xi[2 * a:].reshape(rank, p))
+        return f
 
 
 @dataclass(frozen=True)
@@ -127,19 +129,18 @@ def conditional_design(f: CPFactors, mode: int, lags: LagWindow) -> np.ndarray:
     """
     if lags.p != f.lag_order:
         raise ValueError("lag window length must equal the factor lag order")
-    n, p, rank = f.n_nodes, f.lag_order, f.rank
+    # One N x R x b broadcast product, flattened: block r as above.
+    n = f.n_nodes
     if mode == 1:
-        s = _s_vectors(f, lags)
-        alphas = np.einsum("rn,rn->r", f.mode2, s)
-        return np.hstack([alphas[r] * np.eye(n) for r in range(rank)])
+        alphas = np.einsum("rn,rn->r", f.mode2, _s_vectors(f, lags))
+        return (np.eye(n)[:, None, :] * alphas[None, :, None]).reshape(n, -1)
     if mode == 2:
         s = _s_vectors(f, lags)
-        return np.hstack([np.outer(f.mode1[r], s[r]) for r in range(rank)])
-    if mode == 3:
-        y = np.stack(lags.lags)  # p x N
-        m = y @ f.mode2.T  # p x R; m[:, r] = (mode2_r' y_{t-l})_l
-        return np.hstack([np.outer(f.mode1[r], m[:, r]) for r in range(rank)])
-    raise ValueError("mode must be 1, 2, or 3")
+    elif mode == 3:
+        s = (np.stack(lags.lags) @ f.mode2.T).T  # R x p; s[r] = m_r
+    else:
+        raise ValueError("mode must be 1, 2, or 3")
+    return (f.mode1.T[:, :, None] * s[None]).reshape(n, -1)
 
 
 def sign_fix(f: CPFactors) -> CPFactors:

@@ -134,6 +134,22 @@ def cp_dense_slices(mode1, mode2, mode3):
     return slices
 
 
+def conditional_design_hstack(f, mode, lags):
+    """The CP conditional design as R blocks side by side: alpha_r I
+    (mode 1), mode1_r s_r' (mode 2) or mode1_r m_r' (mode 3), with s_r and
+    m_r as in ``tensorcp.conditional_design``."""
+    y = np.stack(lags.lags)  # p x N
+    s = f.mode3 @ y
+    if mode == 1:
+        alphas = np.einsum("rn,rn->r", f.mode2, s)
+        return np.hstack([alphas[r] * np.eye(f.n_nodes)
+                          for r in range(f.rank)])
+    if mode == 2:
+        return np.hstack([np.outer(f.mode1[r], s[r]) for r in range(f.rank)])
+    m = y @ f.mode2.T  # p x R
+    return np.hstack([np.outer(f.mode1[r], m[:, r]) for r in range(f.rank)])
+
+
 def _dense_design(w, lags, z, recipe):
     """N x K design from the recipe's column order, with explicit powers
     of W."""

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 import nssm
+from nssm import cli
+from nssm import io as nio
 from nssm.cli import main
+from nssm.gaussmodel import fit_gaussian
+from nssm.lgss import FilterRun
 from nssm.diagnostics import stability_report
 from nssm.io import (read_matrix_csv, read_panel_csv, read_weight_csv,
                      sha256_file, write_panel_csv)
@@ -244,6 +248,54 @@ class TestPipeline:
         table = read_matrix_csv(diag_out / "stability.csv", has_header=True)
         assert np.array_equal(table, np.column_stack(
             [rep.op_norms, rep.spectral_radii, rep.coefficient_proxy]))
+
+
+    def test_evaluate_fits_the_panel_once(self, tmp_path, sim_config,
+                                          monkeypatch):
+        # rolling_eval reuses the pass that evaluate has already fitted.
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "3"])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_gaussian(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_gaussian", counted)
+        cfg = write_json(tmp_path / "eval.json",
+                         {"model": "gaussian", "sigma2": 0.25,
+                          "horizons": [1, 2], "n_origins": 3})
+        assert run_cli(["evaluate", "--config", cfg,
+                        "--out", str(tmp_path / "eval"), "--seed", "3",
+                        "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(sim_out / "weight.csv")]) == 0
+        assert len(calls) == 1
+
+    def test_diagnose_lag2_takes_contraction_from_companion(
+            self, tmp_path, capsys, monkeypatch):
+        # B_1 = 0.05 W + 0.05 I has norm 0.1 on the row-normalized complete
+        # graph on 4 nodes, but with 0.95 I on lag 2 the VAR(2) has
+        # companion spectral radius 1.026: not a contraction.
+        w = np.full((4, 4), 1.0 / 3.0) - np.eye(4) / 3.0
+        nio.write_matrix_csv(tmp_path / "weight.csv", w)
+        write_panel_csv(tmp_path / "panel.csv",
+                        np.random.default_rng(0).standard_normal((12, 4)))
+        theta = np.tile([0.0, 0.05, 0.0, 0.05, 0.95], (10, 1))
+        covs = np.broadcast_to(np.eye(5), (10, 5, 5))
+        monkeypatch.setattr(cli, "fit_gaussian", lambda *_: FilterRun(
+            theta, covs, theta, covs, np.zeros(10), t0=2))
+        cfg = write_json(tmp_path / "fit.json",
+                         {"model": "gaussian", "p": 2, "sigma2": 0.25})
+        assert run_cli(["diagnose", "--config", cfg,
+                        "--out", str(tmp_path / "diag"),
+                        "--panel", str(tmp_path / "panel.csv"),
+                        "--weight", str(tmp_path / "weight.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "max op norm 0.1000" in out
+        assert "max companion spectral radius 1.0260" in out
+        assert "contraction=True" not in out
+        assert "contraction=False" in out
 
 
 class TestDeterminism:

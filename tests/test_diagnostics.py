@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nssm.design import spillover_matrix
+from nssm.design import DesignRecipe, spillover_matrix
 from nssm.diagnostics import (
     BreakSet,
     aggregate_recursion,
+    companion_radius,
     counterfactual_bound,
     default_threshold,
     detect_breaks,
@@ -80,6 +81,42 @@ class TestStabilityReport:
         static, one = stability_report(b1, b2, w), stability_report(b1, b2, [w])
         for field in ("op_norms", "spectral_radii", "coefficient_proxy"):
             assert np.array_equal(getattr(one, field), getattr(static, field))
+
+
+class TestCompanionRadius:
+    def test_unstable_var2_whose_b1_contracts(self):
+        # The row-normalized complete graph on 4 nodes, beta = (0.05, 0.05)
+        # on lag 1 and 0.95 I on lag 2: B_1 has norm 0.1, yet the VAR(2)
+        # has companion spectral radius 1.026.
+        w = row_normalize(Adjacency(np.ones((4, 4)) - np.eye(4)))
+        recipe = DesignRecipe(lag_order=2)
+        assert recipe.column_labels() == ["intercept", "WY_lag_1", "WY_lag_2",
+                                          "Y_lag_1", "Y_lag_2"]
+        theta = np.tile([0.0, 0.05, 0.0, 0.05, 0.95], (3, 1))
+        assert stability_report(theta[:, 1], theta[:, 3], w).contraction
+        comp = np.block([[0.05 * w.entries + 0.05 * np.eye(4), 0.95 * np.eye(4)],
+                         [np.eye(4), np.zeros((4, 4))]])
+        rho = companion_radius(theta, recipe.lag_columns(), w)
+        assert rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(comp))),
+                                    rel=1e-12)
+        assert rho == pytest.approx(1.026, abs=5e-4)
+
+    def test_lag1_is_the_spillover_radius(self):
+        rng = np.random.default_rng(5)
+        ws = [make_w(n=8, seed=s) for s in range(6)]
+        theta = 0.4 * rng.standard_normal((6, 3))
+        rep = stability_report(theta[:, 1], theta[:, 2], ws)
+        rho = companion_radius(theta, DesignRecipe().lag_columns(), ws)
+        assert rho == pytest.approx(rep.max_spectral_radius, rel=1e-12)
+
+    def test_network_powers_enter_their_lag(self):
+        # B_1 = 0.3 W^2 + 0.2 I on a directed 3-cycle, whose W^2 is the
+        # reverse cycle: eigenvalues 0.3 w + 0.2 over the cube roots w.
+        w = WeightMatrix(np.roll(np.eye(3), 1, axis=1))
+        recipe = DesignRecipe(network_powers=(2,))
+        theta = np.array([[9.0, 0.3, 0.2]])
+        assert companion_radius(theta, recipe.lag_columns(), w) == \
+            pytest.approx(0.5, rel=1e-12)
 
 
 class TestStabilityCondition:

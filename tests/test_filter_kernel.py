@@ -135,10 +135,10 @@ def test_poisson(with_z, threshold):
                     oracles.fit_poisson_per_step(panel, w, spec, z=z))
 
 
-@pytest.mark.parametrize("with_design_fn,transition", [
-    (False, None), (True, None), (False, "node"), (False, "edge")],
-    ids=["w_design", "design_fn", "node_transition", "edge_transition"])
-def test_joint_node_edge(with_design_fn, transition):
+def joint_case(transition):
+    """Panel, edge observations, network and spec of a joint node-edge
+    fit; ``transition`` ("node", "edge" or None) names the block with a
+    transition F."""
     rng = np.random.default_rng(4)
     w = make_w()
     recipe = DesignRecipe()
@@ -159,6 +159,14 @@ def test_joint_node_edge(with_design_fn, transition):
     )
     panel = rng.standard_normal((T, N))
     edge_obs = rng.standard_normal((T, m_e))
+    return panel, edge_obs, w, spec
+
+
+@pytest.mark.parametrize("with_design_fn,transition", [
+    (False, None), (True, None), (False, "node"), (False, "edge")],
+    ids=["w_design", "design_fn", "node_transition", "edge_transition"])
+def test_joint_node_edge(with_design_fn, transition):
+    panel, edge_obs, w, spec = joint_case(transition)
     design_fn = None
     if with_design_fn:
         def design_fn(t, lags, a_t):

@@ -284,6 +284,41 @@ class TestGainUpdate:
         assert eig[0] >= -1e-12 * eig[-1]
 
 
+    @pytest.mark.parametrize("decades", range(2, 14))
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m, k", [(4, 6), (6, 3)],
+                             ids=["inverse", "solve"])
+    def test_ill_conditioned_s_matches_joint_conditioning(self, m, k,
+                                                          decades, seed):
+        # R's eigenvalues run from 1 to 10^decades in random directions,
+        # so cond(S) spans about 1e2 to 1e13, below the 1e14 the step
+        # rejects. K + 1 > M takes L^-1 and one product, K + 1 <= M a
+        # solve. Rounding S = H P H' + R alone moves the answer by about
+        # eps * cond(S), for the oracle too, so the tolerance on the mean
+        # and covariance is 10 eps cond(S) relative, and 1e-14 relative on
+        # the log-likelihood. Over 1,200 such problems per shape the worst
+        # were 1.3 eps cond(S) (covariance) and 3.5e-16 (log-likelihood).
+        rng = np.random.default_rng([decades, seed])
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        r = (u * np.logspace(0, decades, m)) @ u.T
+        r = 0.5 * (r + r.T)
+        h = rng.standard_normal((m, k))
+        a = rng.standard_normal((k, k))
+        p0 = a @ a.T / k + 0.1 * np.eye(k)
+        m0 = rng.standard_normal(k)
+        y = h @ m0 + rng.standard_normal(m)
+        cond = np.linalg.cond(h @ p0 @ h.T + r)
+        assert 10.0 ** (decades - 3) < cond < 1e14
+        mean, cov, ll = lgss._step_gain(m0, p0, h, r, y)
+        args = (m0, p0, [np.zeros((k, k))], [h], [r], [y])
+        ((want_mean, want_cov),), _ = joint_gaussian_filter_smoother(*args)
+        tol = 10.0 * np.finfo(float).eps * cond
+        assert np.max(np.abs(mean - want_mean)) <= tol * np.max(np.abs(want_mean))
+        assert np.max(np.abs(cov - want_cov)) <= tol * np.max(np.abs(want_cov))
+        want_ll = joint_gaussian_loglik(*args)
+        assert abs(ll - want_ll) <= 1e-14 * max(1.0, abs(want_ll))
+
+
 class TestTwoBlock:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_stacked_update(self, seed):

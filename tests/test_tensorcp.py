@@ -14,7 +14,7 @@ from nssm.tensorcp import (
     conditional_design,
     sign_fix,
 )
-from oracles import cp_dense_slices
+from oracles import conditional_design_hstack, cp_dense_slices
 
 
 def random_factors(rank=3, n=5, p=2, seed=0):
@@ -101,6 +101,29 @@ class TestConditionalDesign:
         h = conditional_design(f, mode, lags)
         block = {1: f.mode1, 2: f.mode2, 3: f.mode3}[mode].ravel()
         assert np.max(np.abs(h @ block - cp_mean(f, lags))) < 1e-12
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equals_hstack_oracle_with_signed_zeros(self, mode, rank, p):
+        # Exact zeros of both signs in the factors and lags give signed
+        # zeros in the design; each entry is the same single product as
+        # in the block-by-block construction, so the sign must match too.
+        rng = np.random.default_rng([mode, rank, p])
+        for _ in range(10):
+            n = int(rng.integers(1, 7))
+            arrays = [rng.standard_normal(shape) for shape in
+                      ((rank, n), (rank, n), (rank, p), (p, n))]
+            for a in arrays:
+                a[rng.random(a.shape) < 0.2] = 0.0
+                a[rng.random(a.shape) < 0.1] = -0.0
+            f = CPFactors(*arrays[:3])
+            lags = LagWindow(tuple(arrays[3]))
+            got = conditional_design(f, mode, lags)
+            want = conditional_design_hstack(f, mode, lags)
+            assert got.shape == want.shape == (n, rank * (n, n, p)[mode - 1])
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_mode1_zero_alpha(self):
         f = CPFactors(mode1=np.ones((1, 3)), mode2=np.ones((1, 3)),
