@@ -210,7 +210,8 @@ def _cmd_fit(args, cfg: dict, out: Path):
                          header=list(spec.recipe.column_labels()))
     if args.dump_states:
         with open(out / "states.json", "w") as fh:
-            json.dump(filter_run_to_dict(run), fh)
+            # json.dumps takes the C encoder in one pass; json.dump never does.
+            fh.write(json.dumps(filter_run_to_dict(run)))
     nio.write_manifest(out, cfg, args.seed,
                        inputs=[args.config, args.panel, args.weight],
                        extra={"loglik": run.loglik})
@@ -264,16 +265,15 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
 
     # The pass over the whole panel is the one already fitted above.
     report = rolling_eval(lambda *_: run, forecast_fn, panel, w, plan)
-    rows = []
-    for i, t in enumerate(report.origins):
-        for j, h in enumerate(report.horizons):
-            for node in range(panel.shape[1]):
-                rows.append([t, h, node, "abs_err", report.abs_err[i, j, node]])
-                rows.append([t, h, node, "sq_err", report.sq_err[i, j, node]])
+    abs_err, sq_err = report.abs_err.tolist(), report.sq_err.tolist()
     with open(out / "report.csv", "w") as fh:
         fh.write("origin,horizon,node,metric,value\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        # repr of a Python float is numpy's str of the same float64.
+        fh.writelines(
+            f"{t},{h},{node},abs_err,{a!r}\n{t},{h},{node},sq_err,{s!r}\n"
+            for t, abs_t, sq_t in zip(report.origins, abs_err, sq_err)
+            for h, abs_h, sq_h in zip(report.horizons, abs_t, sq_t)
+            for node, (a, s) in enumerate(zip(abs_h, sq_h)))
     mae, mse = report.aggregate("mae"), report.aggregate("mse")
     print(f"{'horizon':>8} {'MAE':>12} {'MSE':>12}")
     for h in report.horizons:

@@ -41,12 +41,22 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _check_psd(p: np.ndarray, what: str):
+def _check_psd(p, what: str) -> np.ndarray:
+    """A caller's covariance, checked square before it is symmetrized
+    (it may be symmetric only up to rounding), then finite and PSD."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {p.shape}")
+    p = _symmetrize(p)
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{what} must be finite")
-    eig_min = float(np.linalg.eigvalsh(p).min())
+    # A diagonal's eigenvalues are its entries; eigvalsh wakes BLAS threads.
+    diag = np.diagonal(p)
+    eig_min = float(diag.min() if np.count_nonzero(p) == np.count_nonzero(diag)
+                    else np.linalg.eigvalsh(p).min())
     if eig_min < -_SYM_TOL:
         raise ValueError(f"{what} has negative eigenvalue {eig_min:.3e}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -59,13 +69,12 @@ class Belief:
 
     def __post_init__(self):
         m = np.asarray(self.mean, dtype=float)
-        # A caller's covariance may be symmetric only up to rounding.
-        p = _symmetrize(np.asarray(self.cov, dtype=float))
+        p = np.asarray(self.cov, dtype=float)
         if p.shape != (m.shape[0], m.shape[0]):
             raise ValueError("cov shape must match mean length")
         if not np.all(np.isfinite(m)):
             raise ValueError("belief mean must be finite")
-        _check_psd(p, "belief covariance")
+        p = _check_psd(p, "belief covariance")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", p)
 
@@ -96,10 +105,8 @@ class StateNoiseSpec:
         if self.mode == "constant":
             if self.q is None:
                 raise ValueError("constant mode requires q")
-            # A caller's Q, which the random walk's P + Q needs exact.
-            q = _symmetrize(np.asarray(self.q, dtype=float))
-            _check_psd(q, "state noise Q")
-            object.__setattr__(self, "q", q)
+            # Symmetrized, as the random walk's P + Q needs it exact.
+            object.__setattr__(self, "q", _check_psd(self.q, "state noise Q"))
         elif self.mode == "threshold":
             q0 = np.asarray(self.q0, dtype=float)
             q1 = np.asarray(self.q1, dtype=float)
@@ -230,9 +237,11 @@ def _time_update(m: np.ndarray, p: np.ndarray, q: np.ndarray,
 def predict(b: Belief, q_t: np.ndarray, f: Optional[np.ndarray] = None,
             time_index: Optional[int] = None) -> Belief:
     """One-step state prediction: mean F m, cov F P F' + Q."""
-    # A caller's Q_t, which ``_time_update`` needs exactly symmetric.
-    q_t = _symmetrize(np.asarray(q_t, dtype=float))
-    _check_psd(q_t, "state noise Q_t")
+    # Symmetrized, as ``_time_update`` needs it exact.
+    q_t = _check_psd(q_t, "state noise Q_t")
+    if len(q_t) != b.dim:
+        raise ValueError(f"state noise Q_t must be {b.dim} x {b.dim}, "
+                         f"got shape {q_t.shape}")
     mean, cov = _time_update(b.mean, b.cov, q_t,
                              None if f is None else np.asarray(f, dtype=float))
     return Belief(mean=mean, cov=cov,

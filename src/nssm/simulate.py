@@ -13,7 +13,7 @@ import numpy as np
 
 from .design import _w_at, spillover_matrix
 from .graph import Adjacency, operator_norm, row_normalize
-from .lgss import _check_psd, _symmetrize
+from .lgss import _check_psd
 
 ETA_GENERATION_CAP = 30.0
 
@@ -124,8 +124,7 @@ class EdgePathSpec:
         s = np.atleast_2d(np.asarray(self.s_cov, dtype=float))
         if s.shape != (eta0.shape[0], eta0.shape[0]):
             raise ValueError("S must be p x p for eta0 of length p")
-        s = _symmetrize(s)  # a caller's S may be symmetric only up to rounding
-        _check_psd(s, "edge state covariance S")
+        s = _check_psd(s, "edge state covariance S")
         object.__setattr__(self, "eta0", eta0)
         object.__setattr__(self, "s_cov", s)
 

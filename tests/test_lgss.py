@@ -17,6 +17,7 @@ from nssm.lgss import (
     update,
 )
 from nssm.simulate import EdgePathSpec
+from nssm.tensorcp import cp_filter_alternating
 from oracles import joint_gaussian_filter_smoother, joint_gaussian_loglik
 
 
@@ -409,6 +410,76 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="finite"):
             EdgePathSpec(eta0=np.zeros(2), s_cov=np.array([[1.0, 0.0],
                                                            [0.0, np.inf]]))
+
+
+class TestCheckPsd:
+    """``_check_psd`` checks the shape before symmetrizing, and reads a
+    diagonal matrix's smallest eigenvalue off its diagonal."""
+
+    @pytest.mark.parametrize("k", [1, 3, 84])
+    def test_diagonal_read_matches_eigvalsh(self, k):
+        # The verdict and the printed value of the diagonal read equal what
+        # eigvalsh gives, on both sides of the -1e-10 floor. (LAPACK scales
+        # a matrix of tiny norm, so all-1e-300 can come back 1 ulp lower.)
+        entries = np.array([-1e-9, -1e-11, 0.0, -0.0, 1e-300, 1e8])
+        rng = np.random.default_rng(k)
+        draws = [np.full(k, e) for e in entries]
+        draws += [rng.choice(entries, k) for _ in range(40)]
+        for d in draws:
+            p = np.diag(d)
+            eig_min = float(np.linalg.eigvalsh(p).min())
+            assert (eig_min < -1e-10) == (d.min() < -1e-10)
+            if eig_min < -1e-10:
+                assert f"{eig_min:.3e}" == f"{d.min():.3e}"
+                with pytest.raises(ValueError,
+                                   match=f"negative eigenvalue {eig_min:.3e}$"):
+                    lgss._check_psd(p, "Q")
+            else:
+                assert np.array_equal(lgss._check_psd(p, "Q"), p)
+
+    def test_diagonal_matrices_skip_eigvalsh(self, monkeypatch):
+        def no_eigvalsh(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        q = 1e-3 * np.eye(84)
+        StateNoiseSpec.constant(q)
+        b = Belief(mean=np.zeros(84), cov=np.eye(84))
+        predict(b, q)
+        panel = np.random.default_rng(0).standard_normal((12, 20))
+        cp_filter_alternating(panel, rank=2, p=2)
+        q[0, 1] = q[1, 0] = 1e-4
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            predict(b, q)
+
+    @pytest.mark.parametrize("make", [
+        lambda q: StateNoiseSpec.constant(q),
+        lambda q: Belief(mean=np.zeros(3), cov=q),
+        lambda q: predict(Belief(mean=np.zeros(3), cov=np.eye(3)), q),
+    ], ids=["state_noise", "belief", "predict"])
+    @pytest.mark.parametrize("q", [[[1e-3, 1e-3, 1e-3]], np.ones((2, 3)),
+                                   np.ones(3), np.ones((3, 3, 1))],
+                             ids=["row", "2x3", "vector", "3d"])
+    def test_rejects_non_square(self, make, q):
+        # Neither broadcast by the symmetrization into a 3 x 3 matrix nor
+        # left to numpy's broadcast error.
+        with pytest.raises(ValueError, match="must be a square matrix|"
+                                             "cov shape must match mean length"):
+            make(q)
+
+    def test_messages_name_the_size(self):
+        with pytest.raises(ValueError,
+                           match="cov shape must match mean length"):
+            Belief(mean=np.zeros(3), cov=[[1.0, 1.0, 1.0]])
+        b = Belief(mean=np.zeros(3), cov=np.eye(3))
+        with pytest.raises(ValueError, match=r"Q_t must be 3 x 3, "
+                                             r"got shape \(2, 2\)"):
+            predict(b, np.eye(2))
+        with pytest.raises(ValueError, match=r"Q must be a square matrix, "
+                                             r"got shape \(2, 3\)"):
+            StateNoiseSpec.constant(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="S must be p x p"):
+            EdgePathSpec(eta0=np.zeros(3), s_cov=[[1.0, 1.0, 1.0]])
 
 
 class TestTransition:
