@@ -188,9 +188,7 @@ def _cmd_simulate(args, cfg: dict, out: Path):
     nio.write_matrix_csv(out / "weight.csv", w.entries)
     nio.write_matrix_csv(out / "paths.csv", paths[burn:],
                          header=["beta0", "beta1", "beta2"])
-    nio.write_manifest(out, cfg, args.seed, inputs=[args.config],
-                       extra={"jumps": jumps})
-    return 0
+    return {"jumps": jumps}
 
 
 def _fit_from_args(args, cfg):
@@ -212,10 +210,7 @@ def _cmd_fit(args, cfg: dict, out: Path):
         with open(out / "states.json", "w") as fh:
             # json.dumps takes the C encoder in one pass; json.dump never does.
             fh.write(json.dumps(filter_run_to_dict(run)))
-    nio.write_manifest(out, cfg, args.seed,
-                       inputs=[args.config, args.panel, args.weight],
-                       extra={"loglik": run.loglik})
-    return 0
+    return {"loglik": run.loglik}
 
 
 def _cmd_forecast(args, cfg: dict, out: Path):
@@ -224,19 +219,15 @@ def _cmd_forecast(args, cfg: dict, out: Path):
     if cfg["model"] == "gaussian":
         fcs = forecast_gaussian(run, spec, horizon)
         mat = np.asarray([fc.mean for fc in fcs])
-        nio.write_matrix_csv(out / "forecast_means.csv", mat)
     else:
         stab = _stabilizer(cfg)
         n_draws = _value(cfg, "S", integer, 300)
         ensembles = mc_forecast(run, spec, horizon, n_draws, stab, args.seed)
         mat = np.asarray([ensemble_stats(e)["mean"] for e in ensembles])
-        nio.write_matrix_csv(out / "forecast_means.csv", mat)
         if args.dump_draws:
             np.savez(out / "draws.npz",
                      **{f"counts_h{e.horizon}": e.counts for e in ensembles})
-    nio.write_manifest(out, cfg, args.seed,
-                       inputs=[args.config, args.panel, args.weight])
-    return 0
+    nio.write_matrix_csv(out / "forecast_means.csv", mat)
 
 
 def _cmd_evaluate(args, cfg: dict, out: Path):
@@ -278,10 +269,7 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
     print(f"{'horizon':>8} {'MAE':>12} {'MSE':>12}")
     for h in report.horizons:
         print(f"{h:>8} {mae[h]:>12.6f} {mse[h]:>12.6f}")
-    nio.write_manifest(out, cfg, args.seed,
-                       inputs=[args.config, args.panel, args.weight],
-                       extra={"mae": mae, "mse": mse})
-    return 0
+    return {"mae": mae, "mse": mse}
 
 
 def _cmd_diagnose(args, cfg: dict, out: Path):
@@ -310,9 +298,6 @@ def _cmd_diagnose(args, cfg: dict, out: Path):
                 fh.write(f"{labels[j]},{t}\n")
     print(f"max op norm {rep.max_op_norm:.4f}, "
           f"max spectral radius {rep.max_spectral_radius:.4f}, {verdict}")
-    nio.write_manifest(out, cfg, args.seed,
-                       inputs=[args.config, args.panel, args.weight])
-    return 0
 
 
 def _cmd_irf(args, cfg: dict, out: Path):
@@ -327,8 +312,6 @@ def _cmd_irf(args, cfg: dict, out: Path):
     total, contribs = irf(w, decomp, node)
     nio.write_matrix_csv(out / "irf_total.csv", total[None, :])
     nio.write_matrix_csv(out / "irf_contributions.csv", contribs)
-    nio.write_manifest(out, cfg, args.seed, inputs=[args.config, args.weight])
-    return 0
 
 
 def _cmd_perturb(args, cfg: dict, out: Path):
@@ -338,8 +321,6 @@ def _cmd_perturb(args, cfg: dict, out: Path):
               (("frac", float), ("alpha", float), ("iters", integer)) if k in cfg}
     w_pert = perturb(w, kind, rng_seed=args.seed, **kwargs)
     nio.write_matrix_csv(out / "weight_perturbed.csv", w_pert.entries)
-    nio.write_manifest(out, cfg, args.seed, inputs=[args.config, args.weight])
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command returns its extra manifest fields, or None.
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "fit": _cmd_fit,
@@ -395,7 +377,11 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, cfg, out)
+        extra = _COMMANDS[args.command](args, cfg, out)
+        inputs = [args.config] + [getattr(args, name) for name in
+                                  ("panel", "weight") if hasattr(args, name)]
+        nio.write_manifest(out, cfg, args.seed, inputs=inputs, extra=extra)
+        return 0
     except np.linalg.LinAlgError as exc:  # its nssm subclasses too
         print(json.dumps({"error": "numerical", "message": str(exc)}),
               file=sys.stderr)

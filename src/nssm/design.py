@@ -130,10 +130,13 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
     rows of a slab. The
     intercept and covariate columns are length-N vectors, which
     broadcast against the stacks and blocks. The lags and ``z`` must be
-    finite: they are checked before any product with W.
+    finite, and each lag's last axis must be W's N: they are checked
+    before any product with W.
     """
     n = w.n_nodes
     for l, y in enumerate(y_lags, start=1):
+        if np.shape(y)[-1:] != (n,):
+            raise ValueError(f"lag {l} has shape {np.shape(y)}, but W has {n} nodes")
         if not np.all(np.isfinite(y)):
             raise ValueError(f"lag {l} has entries that are not finite")
     if recipe.covariate_count > 0:

@@ -41,7 +41,6 @@ class HopDecomp:
 
     horizon: int
     coefficients: np.ndarray  # length h + 1, index r = hop count
-    anchor_time: int
 
     def __post_init__(self):
         if self.coefficients.shape != (self.horizon + 1,):
@@ -119,7 +118,7 @@ def hop_coefficients(beta1_path, beta2_path, t: int, h: int) -> HopDecomp:
         for r in range(1, k + 1):
             new[r] = b2[t + k] * c[r] + b1[t + k] * c[r - 1]
         c = new
-    return HopDecomp(horizon=h, coefficients=c, anchor_time=t)
+    return HopDecomp(horizon=h, coefficients=c)
 
 
 def irf(w, decomp: HopDecomp, shock_node: int):
@@ -242,10 +241,10 @@ def meso_reduce(w_seq, part: Partition, panel, beta_paths, z=None, gamma=None):
     }
 
 
-def default_threshold(theta_path: np.ndarray, scale: float = 4.0) -> np.ndarray:
+def default_threshold(theta_path: np.ndarray) -> np.ndarray:
     """Data-scaled per-coefficient thresholds c * sqrt(log T / T).
 
-    c is set so the threshold sits at ``scale`` times the median absolute
+    c is set so the threshold sits at 4 times the median absolute
     increment of each coefficient path (floored at a small positive
     value for constant paths).
     """
@@ -255,7 +254,7 @@ def default_threshold(theta_path: np.ndarray, scale: float = 4.0) -> np.ndarray:
     t_len = theta.shape[0]
     med = np.median(np.abs(np.diff(theta, axis=0)), axis=0)
     base = np.sqrt(np.log(t_len) / t_len)
-    return np.maximum(scale * med, 1e-6 * base)
+    return np.maximum(4.0 * med, 1e-6 * base)
 
 
 def detect_breaks(theta_path: np.ndarray, d: np.ndarray) -> BreakSet:

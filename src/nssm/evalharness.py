@@ -14,7 +14,7 @@ from .lgss import FilterRun
 from .poissonmodel import EXPLOSION_THRESHOLD
 
 DEFAULT_HORIZONS = (1, 2, 4, 8)
-# The failures that mask a rolling-evaluation cell; any other exception
+# The failures that mask a rolling-evaluation origin; any other exception
 # is a bug and propagates.
 _NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
@@ -51,7 +51,6 @@ class EvalReport:
     abs_err: np.ndarray   # O x H x N
     sq_err: np.ndarray    # O x H x N
     failure_mask: np.ndarray  # O x H bools
-    log_scores: Optional[np.ndarray] = None  # O x H
     extras: dict = field(default_factory=dict)
 
     def aggregate(self, metric: str = "mse") -> Dict[int, float]:
@@ -96,29 +95,26 @@ def truncate_run(run: FilterRun, origin: int) -> FilterRun:
 
 
 def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
-                 w, plan: EvalPlan, score_fn: Optional[Callable] = None) -> EvalReport:
+                 w, plan: EvalPlan) -> EvalReport:
     """Evaluate h-step forecasts over rolling origins.
 
     ``fit_fn(panel, w)`` runs one causal filter pass over the full panel;
     each origin reuses it via truncation. ``forecast_fn(run, horizon)``
     returns per-horizon predictive means (list of length-N arrays or a
-    2-d array). ``score_fn(run, horizon, actual)``, if given, returns a
-    scalar log score recorded alongside. A numerical failure
-    (``LinAlgError``, which ``lgss.NumericalError`` is, or
-    ``FloatingPointError``) of an origin's forecast or a cell's score
-    masks the origin or the cell and is recorded in ``extras["failures"]``
-    as (origin, horizon or None for the whole origin, exception type name,
-    message); any other exception propagates. A ``ValueError`` is a config
-    or plan mistake, not a numerical failure: a forecast that lacks its
-    ``future_z``, or an origin that is not an observation time of the run,
-    raises.
+    2-d array); a cell whose mean is not finite is masked. A numerical
+    failure (``LinAlgError``, which ``lgss.NumericalError`` is, or
+    ``FloatingPointError``) of an origin's forecast masks the whole
+    origin and is recorded in ``extras["failures"]`` as (origin, None,
+    exception type name, message); any other exception propagates. A
+    ``ValueError`` is a config or plan mistake, not a numerical failure:
+    a forecast that lacks its ``future_z``, or an origin that is not an
+    observation time of the run, raises.
     """
     panel = np.asarray(panel, dtype=float)
     n = panel.shape[1]
     o, hn = len(plan.origins), len(plan.horizons)
     abs_err = np.full((o, hn, n), np.nan)
     sq_err = np.full((o, hn, n), np.nan)
-    ls = np.full((o, hn), np.nan)
     mask = np.zeros((o, hn), dtype=bool)
     failures = []
 
@@ -134,23 +130,15 @@ def rolling_eval(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
             failures.append((t, None, type(exc).__name__, str(exc)))
             continue
         for j, h in enumerate(plan.horizons):
-            actual = panel[t + h]
             pred = means[h - 1]
             if not np.all(np.isfinite(pred)):
                 mask[i, j] = True
                 continue
-            err = pred - actual
+            err = pred - panel[t + h]
             abs_err[i, j] = np.abs(err)
             sq_err[i, j] = err ** 2
-            if score_fn is not None:
-                try:
-                    ls[i, j] = score_fn(sub, h, actual)
-                except _NUMERICAL_ERRORS as exc:
-                    mask[i, j] = True
-                    failures.append((t, h, type(exc).__name__, str(exc)))
     return EvalReport(origins=plan.origins, horizons=plan.horizons,
                       abs_err=abs_err, sq_err=sq_err, failure_mask=mask,
-                      log_scores=ls if score_fn is not None else None,
                       extras={"failures": failures})
 
 
@@ -257,27 +245,27 @@ def block_bootstrap_ci(deltas, block_len: int, n_boot: int, seed: int,
 
 
 def stress_suite(fit_fn: Callable, forecast_fn: Callable, panel: np.ndarray,
-                 w: WeightMatrix, perturbations: Sequence[dict],
-                 plan: EvalPlan, baseline_fit_fn: Optional[Callable] = None,
-                 score_fn: Optional[Callable] = None) -> List[dict]:
+                 w: WeightMatrix, perturbations: Sequence[dict], plan: EvalPlan,
+                 baseline_fit_fn: Optional[Callable] = None) -> List[dict]:
     """Network stress table: refit under each perturbed W, report deltas.
 
     Each perturbation dict holds ``kind`` plus keyword arguments for
-    graph.perturb. Deltas are per-horizon aggregate differences against
-    the original-W fit and, when ``baseline_fit_fn`` (a no-network
-    variant) is supplied, against that baseline too.
+    graph.perturb. Each row keeps its ``rolling_eval`` report, masked
+    origins and ``extras["failures"]`` included. Deltas are per-horizon
+    MAE differences against the original-W fit and, when
+    ``baseline_fit_fn`` (a no-network variant) is supplied, against that
+    baseline too.
     """
-    base_report = rolling_eval(fit_fn, forecast_fn, panel, w, plan, score_fn)
+    base_report = rolling_eval(fit_fn, forecast_fn, panel, w, plan)
     nonet_report = None
     if baseline_fit_fn is not None:
-        nonet_report = rolling_eval(baseline_fit_fn, forecast_fn, panel, w,
-                                    plan, score_fn)
+        nonet_report = rolling_eval(baseline_fit_fn, forecast_fn, panel, w, plan)
     rows = []
     for spec in perturbations:
         spec = dict(spec)
         kind = spec.pop("kind")
         w_pert = perturb(w, kind, **spec)
-        report = rolling_eval(fit_fn, forecast_fn, panel, w_pert, plan, score_fn)
+        report = rolling_eval(fit_fn, forecast_fn, panel, w_pert, plan)
         row = {"kind": kind, "params": spec, "report": report}
         base_mae, pert_mae = base_report.aggregate("mae"), report.aggregate("mae")
         row["delta_mae_vs_original"] = {

@@ -7,7 +7,7 @@ Operations are pure functions of immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -178,7 +178,6 @@ class InvariantVector:
     """Probability vector pi with pi' W = pi'."""
 
     pi: np.ndarray
-    residual: float = field(default=0.0)
 
     def __post_init__(self):
         p = np.asarray(self.pi, dtype=float)
@@ -231,8 +230,7 @@ def invariant_vector(w: WeightMatrix) -> InvariantVector:
             "invariant vector is not unique: the chain has more than one "
             "closed class"
         )
-    residual = float(np.max(np.abs(pi @ mat - pi)))
-    return InvariantVector(pi=pi, residual=residual)
+    return InvariantVector(pi=pi)
 
 
 def _uniform_offdiag(n: int) -> np.ndarray:

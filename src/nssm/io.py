@@ -55,8 +55,16 @@ def write_panel_csv(path, panel: np.ndarray):
 def read_panel_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "time":
+    if not rows or rows[0][:1] != ["time"]:
         raise ValueError("panel CSV must start with a 'time,node_*' header")
+    if len(rows[0]) < 2:
+        raise ValueError("panel CSV header names no node column")
+    if len(rows) < 2:
+        raise ValueError("panel CSV has a header but no time row")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"panel CSV line {line} has {len(row)} fields, "
+                             f"its header {len(rows[0])}")
     body = sorted(rows[1:], key=lambda r: int(r[0]))
     if [int(r[0]) for r in body] != list(range(len(body))):
         raise ValueError("panel CSV times must be 0, 1, ..., T - 1, "

@@ -172,7 +172,6 @@ class ObsBlock:
     h: np.ndarray
     r: np.ndarray
     y: np.ndarray
-    label: str = "node"
 
     def __post_init__(self):
         h = np.atleast_2d(np.asarray(self.h, dtype=float))

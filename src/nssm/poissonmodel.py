@@ -252,8 +252,7 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     ]
 
 
-def ensemble_stats(ens: ForecastEnsemble,
-                   quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
+def ensemble_stats(ens: ForecastEnsemble) -> dict:
     """Summary record for one predictive ensemble."""
     if ens.n_draws < 1:
         raise ValueError("ensemble is empty")
@@ -264,7 +263,7 @@ def ensemble_stats(ens: ForecastEnsemble,
         "mean": cnt.mean(axis=0),
         "mean_intensity": lam.mean(axis=0),
         "median": np.median(cnt, axis=0),
-        "quantiles": {q: np.quantile(cnt, q, axis=0) for q in quantile_levels},
+        "quantiles": {q: np.quantile(cnt, q, axis=0)
+                      for q in (0.05, 0.25, 0.5, 0.75, 0.95)},
         "explosion_prob": explosion,
-        "trimmed_mae_inputs": cnt,
     }

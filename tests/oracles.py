@@ -468,7 +468,7 @@ def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, design_fn=None):
         else:
             x_t = build_design(_w_at_t(w_seq, t), lags, None, spec.recipe)
         belief, ll_e, ll_n = two_block_update(
-            belief, ObsBlock(h=h_edge, r=edge.u, y=edge_obs[t], label="edge"),
+            belief, ObsBlock(h=h_edge, r=edge.u, y=edge_obs[t]),
             ObsBlock(h=np.hstack([x_t, np.zeros((n, k_e))]), r=r_node,
                      y=panel[t]))
         filtered.append(belief)

@@ -130,11 +130,11 @@ def test_criterion_02_two_block_vs_stacked(report):
     edge = ObsBlock(h=np.hstack([np.zeros((3, 3)),
                                  rng.standard_normal((3, 3))]),
                     r=np.diag(rng.uniform(0.2, 0.5, 3)),
-                    y=rng.standard_normal(3), label="edge")
+                    y=rng.standard_normal(3))
     node = ObsBlock(h=np.hstack([rng.standard_normal((4, 3)),
                                  np.zeros((4, 3))]),
                     r=np.diag(rng.uniform(0.2, 0.5, 4)),
-                    y=rng.standard_normal(4), label="node")
+                    y=rng.standard_normal(4))
     seq, ll_e, ll_n = two_block_update(belief, edge, node)
     stacked = ObsBlock(h=np.vstack([edge.h, node.h]),
                        r=np.block([[edge.r, np.zeros((3, 4))],

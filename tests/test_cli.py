@@ -676,6 +676,73 @@ class TestConfigErrors:
         assert json.loads(lines[0])["error"] == "numerical"
 
 
+class TestInputErrors:
+    """A malformed panel CSV, or a weight matrix of another size than the
+    panel, is a config error for every command that reads them."""
+
+    DATA_COMMANDS = ["fit", "forecast", "evaluate", "diagnose"]
+
+    @staticmethod
+    def malformed(case, panel_csv):
+        header, *rows = panel_csv.read_text().splitlines()
+        if case == "header_only":
+            return [header], "no time row"
+        if case == "no_node_column":
+            times = [row.split(",")[0] for row in rows]
+            return ["time"] + times, "no node column"
+        rows[5] = rows[5].rsplit(",", 1)[0]
+        return [header] + rows, "line 7 has"
+
+    @pytest.mark.parametrize("model", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    @pytest.mark.parametrize("case", ["header_only", "no_node_column",
+                                      "ragged_row"])
+    def test_malformed_panel_exit_2(self, tmp_path, capsys, sim_config,
+                                    poisson_sim, model, command, case):
+        if model == "gaussian":
+            sim_out = tmp_path / "sim_g"
+            run_cli(["simulate", "--config", sim_config,
+                     "--out", str(sim_out), "--seed", "0"])
+        else:
+            sim_out = poisson_sim
+        lines, message = self.malformed(case, sim_out / "panel.csv")
+        panel_csv = tmp_path / "bad_panel.csv"
+        panel_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_json(tmp_path / "c.json", {"model": model, "S": 20})
+        out = tmp_path / "o"
+        code = run_cli([command, "--config", cfg, "--out", str(out),
+                        "--seed", "0", "--panel", str(panel_csv),
+                        "--weight", str(sim_out / "weight.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert message in err["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("model", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("command", DATA_COMMANDS)
+    def test_weight_size_mismatch_exit_2(self, tmp_path, capsys, sim_config,
+                                         poisson_sim, model, command):
+        if model == "gaussian":
+            sim_out = tmp_path / "sim_g"
+            run_cli(["simulate", "--config", sim_config,
+                     "--out", str(sim_out), "--seed", "0"])
+        else:
+            sim_out = poisson_sim
+        weight_csv = tmp_path / "weight2.csv"
+        weight_csv.write_text("0.0,1.0\n1.0,0.0\n")
+        cfg = write_json(tmp_path / "c.json", {"model": model, "S": 20})
+        out = tmp_path / "o"
+        code = run_cli([command, "--config", cfg, "--out", str(out),
+                        "--seed", "0", "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(weight_csv)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "but W has 2 nodes" in err["message"]
+        assert list(out.iterdir()) == []
+
+
 class TestPanelCsv:
     def test_round_trip_in_any_row_order(self, tmp_path):
         panel = np.random.default_rng(0).standard_normal((6, 3))
@@ -690,6 +757,21 @@ class TestPanelCsv:
         rows = [f"{t},0.5" for t in times]
         (tmp_path / "p.csv").write_text("\n".join(["time,node_0"] + rows))
         with pytest.raises(ValueError, match="times"):
+            read_panel_csv(tmp_path / "p.csv")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "header"),
+        ("\ntime,node_0\n0,0.5\n", "header"),
+        ("time,node_0,node_1\n", "no time row"),
+        ("time\n0\n1\n", "no node column"),
+        ("time,node_0,node_1\n0,0.5,1.5\n1,0.5\n", "line 3 has 2 fields"),
+        ("time,node_0\n0,0.5,1.5\n", "line 2 has 3 fields"),
+        ("time,node_0\n0,0.5\n\n1,0.5\n", "line 3 has 0 fields"),
+    ], ids=["empty", "blank_first_line", "header_only", "no_node_column",
+            "short_row", "long_row", "blank_row"])
+    def test_malformed_panel_rejected(self, tmp_path, text, message):
+        (tmp_path / "p.csv").write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_panel_csv(tmp_path / "p.csv")
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from nssm.design import (
     SummaryAugment,
     augment_summaries,
     build_design,
+    design_columns,
     design_stack,
     spillover_matrix,
 )
+from nssm.gaussmodel import GaussianSpec, fit_gaussian, mc_forecast_gaussian
 from nssm.graph import Adjacency, WeightMatrix, row_normalize
+from nssm.lgss import StateNoiseSpec
 
 
 def simple_w(n=4, seed=0):
@@ -155,6 +160,55 @@ class TestDesignStack:
         panel[2, 1] = np.inf
         with pytest.raises(ValueError, match="not finite"):
             design_stack(simple_w(), panel, None, DesignRecipe())
+
+
+class TestNetworkSize:
+    """A lag whose last axis is not W's N is rejected by name, before any
+    product with W: with no intercept column to broadcast against, a
+    mismatched panel used to filter silently."""
+
+    @staticmethod
+    def spec(intercept):
+        recipe = DesignRecipe(include_intercept=intercept)
+        return GaussianSpec(recipe=recipe, state_noise=StateNoiseSpec.constant(
+            1e-3 * np.eye(recipe.n_cols)))
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("shape, n", [
+        ((6,), 4), ((5, 1, 6), 4), ((7, 6), 4),
+        ((4,), 6), ((5, 1, 4), 6), ((7, 4), 6),
+    ], ids=["vector_wider", "stack_wider", "draw_block_wider",
+            "vector_narrower", "stack_narrower", "draw_block_narrower"])
+    def test_lag_of_another_size_rejected(self, intercept, shape, n):
+        recipe = DesignRecipe(include_intercept=intercept)
+        message = re.escape(f"lag 1 has shape {shape}, but W has {n} nodes")
+        with pytest.raises(ValueError, match=message):
+            list(design_columns(simple_w(n), [np.ones(shape)], None, recipe))
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_second_lag_checked(self, intercept):
+        recipe = DesignRecipe(lag_order=2, include_intercept=intercept)
+        with pytest.raises(ValueError, match="lag 2 has shape"):
+            list(design_columns(simple_w(4), [np.ones(4), np.ones(5)], None,
+                                recipe))
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_fit_on_a_wider_panel_rejected(self, intercept):
+        panel = np.random.default_rng(0).standard_normal((30, 4))
+        spec = self.spec(intercept)
+        with pytest.raises(ValueError, match="but W has 2 nodes"):
+            design_stack(simple_w(2), panel, None, spec.recipe)
+        with pytest.raises(ValueError, match="but W has 2 nodes"):
+            fit_gaussian(panel, simple_w(2), None, spec)
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_draws_under_a_smaller_future_w_rejected(self, intercept):
+        panel = np.random.default_rng(1).standard_normal((30, 4))
+        spec = self.spec(intercept)
+        run = fit_gaussian(panel, simple_w(4), None, spec)
+        with pytest.raises(ValueError, match="but W has 2 nodes"):
+            mc_forecast_gaussian(run, spec, 2, 5, 0,
+                                 future_w=[simple_w(2)] * 2)
 
 
 class TestSpillover:

@@ -296,6 +296,29 @@ class TestAggregation:
                                    realized_innovations=ebar)
         assert np.max(np.abs(ybar - panel @ pi.pi)) < 1e-12
 
+    def test_identity_with_covariates(self):
+        # Nodal covariate effects Z_t gamma aggregate to zbar_t = pi' Z_t gamma.
+        w = make_w(n=6, seed=21, density=1.1)  # complete graph
+        pi = invariant_vector(w)
+        rng = np.random.default_rng(22)
+        z = rng.standard_normal((30, 6, 2))
+        gamma = np.array([0.5, -0.3])
+        paths = np.tile([0.2, 0.35, 0.3], (30, 1))
+        panel = gen_gaussian_panel(w, paths, 0.2, 30, seed=23, z=z, gamma=gamma)
+        zbar = np.array([pi.pi @ (z[t] @ gamma) for t in range(30)])
+        ebar = np.zeros(30)
+        for t in range(1, 30):
+            eps = panel[t] - (0.2 + 0.35 * (w.entries @ panel[t - 1])
+                              + 0.3 * panel[t - 1] + z[t] @ gamma)
+            ebar[t] = pi.pi @ eps
+        ybar0 = float(pi.pi @ panel[0])
+        ybar = aggregate_recursion(pi, paths, zbar_path=zbar, ybar0=ybar0,
+                                   realized_innovations=ebar)
+        assert np.max(np.abs(ybar - panel @ pi.pi)) < 1e-12
+        without = aggregate_recursion(pi, paths, ybar0=ybar0,
+                                      realized_innovations=ebar)
+        assert np.max(np.abs(without - panel @ pi.pi)) > 1e-3
+
     def test_no_persistence_case(self):
         pi = InvariantVector(pi=np.array([0.5, 0.5]))
         paths = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
@@ -340,6 +363,21 @@ class TestMesoReduce:
         # Residual of the reduced recursion equals the remainder term.
         resid_norms = np.linalg.norm(out["residuals"], axis=1)
         assert np.all(resid_norms <= out["remainder_bounds"] + 1e-10)
+
+    def test_residuals_are_the_remainders_with_covariates(self):
+        # With Z_t gamma in the panel and passed to the reduction, the
+        # reduced recursion's residual is the aggregation remainder r_t.
+        w = make_w(n=8, seed=24)
+        part = Partition(np.array([1, 1, 1, 2, 2, 2, 3, 3]))
+        rng = np.random.default_rng(25)
+        z = rng.standard_normal((30, 8, 2))
+        gamma = np.array([0.5, -0.3])
+        paths = np.tile([0.1, 0.4, 0.3], (30, 1))
+        panel = gen_gaussian_panel(w, paths, 0.3, 30, seed=26, z=z, gamma=gamma)
+        out = meso_reduce(w, part, panel, paths, z=z, gamma=gamma)
+        resid_norms = np.linalg.norm(out["residuals"], axis=1)
+        assert np.max(out["remainder_norms"]) > 1e-3
+        assert np.max(np.abs(resid_norms - out["remainder_norms"])) < 1e-12
 
     def test_sequence_of_one_is_static(self):
         w = make_w(n=6, seed=18)

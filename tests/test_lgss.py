@@ -335,8 +335,8 @@ class TestTwoBlock:
         y_e = rng.standard_normal(2)
         y_n = rng.standard_normal(3)
         seq, ll_e, ll_n = two_block_update(
-            b, ObsBlock(h=h_e, r=r_e, y=y_e, label="edge"),
-            ObsBlock(h=h_n, r=r_n, y=y_n, label="node"))
+            b, ObsBlock(h=h_e, r=r_e, y=y_e),
+            ObsBlock(h=h_n, r=r_n, y=y_n))
         h_st = np.vstack([h_e, h_n])
         r_st = np.zeros((5, 5))
         r_st[:2, :2] = r_e
