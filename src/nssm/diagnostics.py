@@ -8,14 +8,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import _w_at, lag_matrices, spillover_matrix
+from .design import _w_at, spillover_matrix
 from .graph import (
     InvariantVector,
     Partition,
     WeightMatrix,
     operator_norm,
     quotient_operator,
-    spectral_radius,
 )
 
 
@@ -64,7 +63,9 @@ def stability_report(beta1_path, beta2_path, w_seq) -> StabilityReport:
     """Evaluate spillover operators along coefficient paths.
 
     ``w_seq`` may be a single WeightMatrix, a sequence of one, or a
-    per-time sequence of the same length as the paths (``_w_at``).
+    per-time sequence of the same length as the paths (``_w_at``). B_t's
+    spectral radius is max |beta1_t mu + beta2_t| over W's eigenvalues mu;
+    its operator norm needs B_t itself (unless W is normal).
     """
     b1 = np.asarray(beta1_path, dtype=float)
     b2 = np.asarray(beta2_path, dtype=float)
@@ -76,7 +77,7 @@ def stability_report(beta1_path, beta2_path, w_seq) -> StabilityReport:
         w_t = _w_at(w_seq, t)
         b_t = spillover_matrix(float(b1[t]), float(b2[t]), w_t)
         ops[t] = operator_norm(b_t)
-        rhos[t] = spectral_radius(b_t)
+        rhos[t] = np.max(np.abs(b1[t] * w_t.eigenvalues + b2[t]))
         proxy[t] = abs(b1[t]) * float(np.max(w_t.row_sums())) + abs(b2[t])
     return StabilityReport(
         op_norms=ops, spectral_radii=rhos, coefficient_proxy=proxy,
@@ -87,13 +88,20 @@ def stability_report(beta1_path, beta2_path, w_seq) -> StabilityReport:
 
 def companion_radius(theta_path, lag_columns, w_seq) -> float:
     """Largest spectral radius over t of the VAR(p) companion [[B_1 ... B_p],
-    [I, 0]], B_l = sum of theta_t[j] W_t^r over ``lag_columns[l - 1]``."""
+    [I, 0]], B_l = sum of theta_t[j] W_t^r over ``lag_columns[l - 1]``: a
+    polynomial b_l(W_t), so the eigenvalues are those of the N p x p
+    companions [[b_1(mu) ... b_p(mu)], [I, 0]] over W_t's eigenvalues mu."""
+    theta_path = np.asarray(theta_path, dtype=float)
+    if not np.all(np.isfinite(theta_path)):
+        raise ValueError("matrix entries must be finite")
     rho = 0.0
-    for t, theta in enumerate(np.asarray(theta_path, dtype=float)):
-        a = lag_matrices(theta, lag_columns, _w_at(w_seq, t))
-        comp = np.eye(a.shape[1], k=-len(a))  # the [I, 0] rows
-        comp[:len(a)] = a
-        rho = max(rho, spectral_radius(comp))
+    for t, theta in enumerate(theta_path):
+        mu = _w_at(w_seq, t).eigenvalues
+        comp = np.tile(np.eye(len(lag_columns), k=-1, dtype=complex),
+                       (len(mu), 1, 1))  # each with the [I, 0] rows
+        for l, cols in enumerate(lag_columns):
+            comp[:, 0, l] = sum((theta[j] * mu ** r for j, r in cols), 0.0)
+        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(comp)))))
     return rho
 
 
@@ -197,12 +205,14 @@ def aggregate_recursion(pi: InvariantVector, beta_paths, zbar_path=None,
     return out
 
 
-def meso_reduce(w_seq, part: Partition, panel, beta_paths, z=None, gamma=None):
+def meso_reduce(w_seq, part: Partition, panel, beta_paths):
     """Community-level reduction with per-time defect and remainder bounds.
 
     Returns a dict with the reduced T x C recursion residuals (given the
     realized community averages), per-time delta_t, remainder norms
-    ||r_t||, and their bounds |beta1_t| delta_t ||Y_{t-1}||.
+    ||r_t||, and their bounds |beta1_t| delta_t ||Y_{t-1}||. A covariate
+    term Z_t gamma would enter the reduced recursion and the recovered
+    innovations alike and cancel from the residuals, so none is taken.
     """
     panel = np.asarray(panel, dtype=float)
     paths = np.asarray(beta_paths, dtype=float)
@@ -220,14 +230,10 @@ def meso_reduce(w_seq, part: Partition, panel, beta_paths, z=None, gamma=None):
         deltas[t] = qm.delta
         b0, b1, b2 = paths[t, 0], paths[t, 1], paths[t, 2]
         pred = b0 + b1 * (qm.omega @ ybar[t - 1]) + b2 * ybar[t - 1]
-        cov_term = 0.0
-        if z is not None and gamma is not None:
-            cov_term = np.asarray(z[t]) @ np.asarray(gamma)
-            pred = pred + pi_op @ cov_term
         # Realized innovations recovered from the panel; the residual of the
         # reduced recursion then isolates the aggregation remainder r_t.
         eps = panel[t] - (b0 + b1 * (w_t.entries @ panel[t - 1])
-                          + b2 * panel[t - 1] + cov_term)
+                          + b2 * panel[t - 1])
         r_t = b1 * (pi_op @ w_t.entries - qm.omega @ pi_op) @ panel[t - 1]
         residuals[t] = pi_op @ panel[t] - pred - pi_op @ eps
         remainders[t] = float(np.linalg.norm(r_t))

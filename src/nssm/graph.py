@@ -58,7 +58,7 @@ class WeightMatrix:
     provenance: Provenance = Provenance.OBSERVED
 
     def __post_init__(self):
-        w = np.asarray(self.entries, dtype=float)
+        w = np.array(self.entries, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -73,9 +73,9 @@ class WeightMatrix:
                     f"row sums must be 0 or 1 for row_normalized provenance; "
                     f"offending rows {np.flatnonzero(bad)[:5].tolist()}"
                 )
-        # A read-only view: the nonzeros are found once (``_nonzeros``),
-        # so the entries must not change through the matrix afterwards.
-        w = w.view()
+        # A read-only copy: the nonzeros and the spectrum are found once
+        # (``_nonzeros``, ``eigenvalues``), so the entries must change
+        # neither through the matrix nor through the caller's array.
         w.flags.writeable = False
         object.__setattr__(self, "entries", w)
 
@@ -85,6 +85,11 @@ class WeightMatrix:
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of W, computed once per matrix."""
+        return np.linalg.eigvals(self.entries)
 
     @cached_property
     def _nonzeros(self):

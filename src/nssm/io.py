@@ -38,6 +38,10 @@ def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
         rows = list(csv.reader(fh))
     if has_header:
         rows = rows[1:]
+    for line, row in enumerate(rows[1:], start=2 + has_header):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"matrix CSV {path} line {line} has {len(row)} "
+                             f"fields, its first row {len(rows[0])}")
     return np.asarray([[float(v) for v in row] for row in rows])
 
 

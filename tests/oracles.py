@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 from scipy import linalg, stats
 
-from nssm.design import build_design
+from nssm.design import build_design, lag_matrices
 from nssm.lgss import (
     Belief,
     FilterRun,
@@ -341,6 +341,19 @@ def var_forecast_mse(lag_mats, r, horizon):
                         for l, b in enumerate(lag_mats[:i], start=1)))
     return [sum(phi @ r @ phi.T for phi in phis[:h])
             for h in range(1, horizon + 1)]
+
+
+def companion_radius_dense(theta_path, lag_columns, w_seq):
+    """Largest spectral radius over t of the dense pN x pN VAR(p) companion
+    [[B_1 ... B_p], [I, 0]], assembled from ``lag_matrices`` and solved as
+    one eigenproblem per time step."""
+    rho = 0.0
+    for t, theta in enumerate(np.asarray(theta_path, dtype=float)):
+        a = lag_matrices(theta, lag_columns, _w_at_t(w_seq, t))
+        comp = np.eye(a.shape[1], k=-len(a))  # the [I, 0] rows
+        comp[:len(a)] = a
+        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(comp)))))
+    return rho
 
 
 # Per-step references for the filter kernel: the fit loops as they were

@@ -250,6 +250,28 @@ class TestPipeline:
             [rep.op_norms, rep.spectral_radii, rep.coefficient_proxy]))
 
 
+    def test_diagnose_lag2_solves_one_n_by_n_eigenproblem(
+            self, tmp_path, sim_config, monkeypatch):
+        # The radii of B_1 and of the VAR(2) companion at every t come from
+        # one eigendecomposition of W; each t adds N 2 x 2 companions.
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "5"])
+        cfg = write_json(tmp_path / "fit.json",
+                         {"model": "gaussian", "p": 2, "sigma2": 0.25})
+        shapes, eigvals = [], np.linalg.eigvals
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        assert run_cli(["diagnose", "--config", cfg,
+                        "--out", str(tmp_path / "diag"), "--seed", "5",
+                        "--panel", str(sim_out / "panel.csv"),
+                        "--weight", str(sim_out / "weight.csv")]) == 0
+        assert shapes == [(8, 8)] + [(8, 2, 2)] * 38
+
     def test_evaluate_fits_the_panel_once(self, tmp_path, sim_config,
                                           monkeypatch):
         # rolling_eval reuses the pass that evaluate has already fitted.
@@ -677,8 +699,8 @@ class TestConfigErrors:
 
 
 class TestInputErrors:
-    """A malformed panel CSV, or a weight matrix of another size than the
-    panel, is a config error for every command that reads them."""
+    """A malformed panel or weight CSV, or a weight matrix of another size
+    than the panel, is a config error for every command that reads them."""
 
     DATA_COMMANDS = ["fit", "forecast", "evaluate", "diagnose"]
 
@@ -740,6 +762,36 @@ class TestInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert "but W has 2 nodes" in err["message"]
+        assert list(out.iterdir()) == []
+
+
+    @pytest.mark.parametrize("command", DATA_COMMANDS + ["irf", "perturb"])
+    @pytest.mark.parametrize("case", ["ragged_row", "blank_line"])
+    def test_malformed_weight_exit_2(self, tmp_path, capsys, sim_config,
+                                     command, case):
+        sim_out = tmp_path / "sim"
+        run_cli(["simulate", "--config", sim_config,
+                 "--out", str(sim_out), "--seed", "0"])
+        lines = (sim_out / "weight.csv").read_text().splitlines()
+        if case == "ragged_row":
+            lines[5] = lines[5].rsplit(",", 1)[0]
+            message = "line 6 has 7 fields, its first row 8"
+        else:
+            lines.insert(3, "")
+            message = "line 4 has 0 fields, its first row 8"
+        weight_csv = tmp_path / "bad_weight.csv"
+        weight_csv.write_text("\n".join(lines) + "\n")
+        cfg = write_json(tmp_path / "c.json", {"model": "gaussian"})
+        out = tmp_path / "o"
+        data = ["--weight", str(weight_csv)]
+        if command in self.DATA_COMMANDS:
+            data += ["--panel", str(sim_out / "panel.csv")]
+        code = run_cli([command, "--config", cfg, "--out", str(out),
+                        "--seed", "0", *data])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert message in err["message"]
         assert list(out.iterdir()) == []
 
 

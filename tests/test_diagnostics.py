@@ -26,7 +26,7 @@ from nssm.graph import (
     row_normalize,
 )
 from nssm.simulate import gen_gaussian_panel
-from oracles import hop_coeff_subset_sum
+from oracles import companion_radius_dense, hop_coeff_subset_sum
 
 
 def make_w(n=8, seed=0, density=0.6):
@@ -146,6 +146,108 @@ class TestStabilityCondition:
         rep = stability_report(b1, b2, ws)
         expected = [self.condition(b1[t], b2[t], ws[t]) for t in range(30)]
         assert np.max(np.abs(rep.spectral_radii - expected)) < 1e-10
+
+
+def make_undirected_w(n, seed):
+    """Row-normalized symmetric adjacency: real eigenvalues."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) < 0.5, 1) * 1.0
+    return row_normalize(Adjacency(a + a.T))
+
+
+class TestSpectralMapping:
+    """Radii from W's eigenvalues (spectral mapping) against the dense
+    pN x pN companion eigensolve."""
+
+    @pytest.mark.parametrize("own_lags", [True, False])
+    @pytest.mark.parametrize("powers", [(1,), (2,), (1, 2)])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 12, 30])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_radii_match_the_dense_companion(self, directed, n, p, powers,
+                                             own_lags):
+        w = make_w(n=n, seed=n + p) if directed else make_undirected_w(n, n + p)
+        recipe = DesignRecipe(lag_order=p, network_powers=powers,
+                              include_own_lags=own_lags)
+        rng = np.random.default_rng(10 * n + p)
+        theta = 0.5 * rng.standard_normal((4, recipe.n_cols))
+        lag_columns = recipe.lag_columns()
+        rho = companion_radius(theta, lag_columns, w)
+        assert rho == pytest.approx(
+            companion_radius_dense(theta, lag_columns, w), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_per_t_networks(self, p):
+        ws = [make_w(n=12, seed=s) for s in range(5)]
+        recipe = DesignRecipe(lag_order=p, network_powers=(1, 2))
+        theta = 0.5 * np.random.default_rng(p).standard_normal(
+            (5, recipe.n_cols))
+        lag_columns = recipe.lag_columns()
+        assert companion_radius(theta, lag_columns, ws) == pytest.approx(
+            companion_radius_dense(theta, lag_columns, ws), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_intercept_only_recipe_has_radius_zero(self, p):
+        recipe = DesignRecipe(lag_order=p, include_network_lags=False,
+                              include_own_lags=False)
+        assert recipe.lag_columns() == [[]] * p
+        theta = np.ones((3, 1))
+        assert companion_radius(theta, recipe.lag_columns(), make_w()) == 0.0
+        assert companion_radius_dense(theta, recipe.lag_columns(),
+                                      make_w()) == 0.0
+
+    def test_nilpotent_network_radius_is_beta2(self):
+        # A permuted directed path has only the eigenvalue 0, so B_t =
+        # beta1 W + beta2 I has only beta2.
+        perm = np.random.default_rng(0).permutation(9)
+        w = WeightMatrix(np.eye(9, k=1)[np.ix_(perm, perm)])
+        b1, b2 = np.array([0.7, -2.0, 5.0]), np.array([0.3, -0.6, 0.0])
+        rep = stability_report(b1, b2, w)
+        assert np.array_equal(rep.spectral_radii, np.abs(b2))
+        theta = np.column_stack([np.zeros(3), b1, b2])
+        assert companion_radius(theta, DesignRecipe().lag_columns(), w) == 0.6
+
+    def test_empty_path_is_zero(self):
+        lag_columns = DesignRecipe(lag_order=2).lag_columns()
+        assert companion_radius(np.empty((0, 5)), lag_columns, make_w()) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_raises(self, bad):
+        recipe = DesignRecipe(lag_order=2)
+        theta = np.full((4, recipe.n_cols), 0.1)
+        theta[2, 1] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            companion_radius(theta, recipe.lag_columns(), make_w())
+        with pytest.raises(ValueError, match="matrix entries must be finite"), \
+                np.errstate(invalid="ignore"):  # inf * 0 in B_t
+            stability_report(theta[:, 1], theta[:, 3], make_w())
+
+    @pytest.fixture
+    def eigvals_shapes(self, monkeypatch):
+        shapes, eigvals = [], np.linalg.eigvals
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        return shapes
+
+    def test_one_eigensolve_per_network(self, eigvals_shapes):
+        recipe = DesignRecipe(lag_order=2)
+        theta = 0.3 * np.random.default_rng(1).standard_normal(
+            (50, recipe.n_cols))
+        w = make_w(n=7, seed=3)
+        stability_report(theta[:, 1], theta[:, 3], w)
+        companion_radius(theta, recipe.lag_columns(), w)
+        assert eigvals_shapes == [(7, 7)] + [(7, 2, 2)] * 50
+        eigvals_shapes.clear()
+        ws = [make_w(n=7, seed=4), make_w(n=7, seed=5)] * 25
+        stability_report(theta[:, 1], theta[:, 3], ws)
+        companion_radius(theta, recipe.lag_columns(), ws)
+        assert eigvals_shapes.count((7, 7)) == 2
+        assert eigvals_shapes.count((7, 2, 2)) == 50
+        assert len(eigvals_shapes) == 52
 
 
 class TestHopCoefficients:
@@ -365,8 +467,8 @@ class TestMesoReduce:
         assert np.all(resid_norms <= out["remainder_bounds"] + 1e-10)
 
     def test_residuals_are_the_remainders_with_covariates(self):
-        # With Z_t gamma in the panel and passed to the reduction, the
-        # reduced recursion's residual is the aggregation remainder r_t.
+        # With Z_t gamma in the panel, which cancels from the reduction,
+        # the reduced recursion's residual is the aggregation remainder r_t.
         w = make_w(n=8, seed=24)
         part = Partition(np.array([1, 1, 1, 2, 2, 2, 3, 3]))
         rng = np.random.default_rng(25)
@@ -374,7 +476,7 @@ class TestMesoReduce:
         gamma = np.array([0.5, -0.3])
         paths = np.tile([0.1, 0.4, 0.3], (30, 1))
         panel = gen_gaussian_panel(w, paths, 0.3, 30, seed=26, z=z, gamma=gamma)
-        out = meso_reduce(w, part, panel, paths, z=z, gamma=gamma)
+        out = meso_reduce(w, part, panel, paths)
         resid_norms = np.linalg.norm(out["residuals"], axis=1)
         assert np.max(out["remainder_norms"]) > 1e-3
         assert np.max(np.abs(resid_norms - out["remainder_norms"])) < 1e-12

@@ -108,6 +108,19 @@ class TestNeighbourSum:
         with pytest.raises(ValueError, match="read-only"):
             w.entries[0, 1] = 0.0
 
+    def test_entries_are_a_copy_of_the_callers_array(self):
+        # Editing the array W was built from changes none of W's entries,
+        # neighbour sums or eigenvalues.
+        a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        w = WeightMatrix(a)
+        y = np.array([1.0, 2.0, 3.0])
+        before = (w.entries.copy(), w.neighbour_sum(y), w.eigenvalues.copy())
+        a[0, 2] = 4.0
+        assert np.array_equal(w.entries, before[0])
+        assert np.array_equal(w.neighbour_sum(y), before[1])
+        assert np.array_equal(w.eigenvalues, before[2])
+        assert np.array_equal(WeightMatrix(a).neighbour_sum(y), a @ y)
+
     def test_long_dense_stack_is_summed_in_parts(self):
         rng = np.random.default_rng(0)
         w = WeightMatrix(rng.random((100, 100)))
