@@ -97,11 +97,12 @@ _DRAW_SLAB = 64
 
 def _by_slab(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a block ``a`` of one draw per row, as one product of
-    ``_DRAW_SLAB`` rows at a time, the last slab padded with zero rows.
-    BLAS may sum a row in another order in a product of another shape;
-    with every product the same shape, row s of the result depends on
-    row s of ``a`` alone, whatever the number of rows, and the
-    temporaries stay ``_DRAW_SLAB`` x N."""
+    ``_DRAW_SLAB`` rows at a time, the last slab padded with zero rows:
+    the products of the draws with the K x K state factors and with
+    chol(R). BLAS may sum a row in another order in a product of another
+    shape; with every product the same shape, row s of the result
+    depends on row s of ``a`` alone, whatever the number of rows, and
+    the temporaries stay ``_DRAW_SLAB`` x N."""
     n_rows = a.shape[0]
     out = np.empty((n_rows, b.shape[1]))
     for start in range(0, n_rows, _DRAW_SLAB):
@@ -120,14 +121,13 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
 
     A lag is a length-N vector, a (T - p) x 1 x N stack of them
     (``design_stack``), or an S x N block holding one Monte-Carlo draw
-    per row. W^r y is r products with W. For a vector or a stack, each
-    is a sum over the nonzeros of W (``WeightMatrix.neighbour_sum``):
-    the network operators are sparse, and each vector of a stack is
-    summed on its own, so a stacked column equals the column of that
-    vector alone bit for bit. For a draw block it is the BLAS product
-    Y @ W', one slab of draws at a time (``_by_slab``), so that row s
-    does not depend on S; each product spreads its read of W over the
-    rows of a slab. The
+    per row. W^r y is r products with W, each a sum over the nonzeros
+    of W: the network operators are sparse. For a vector or a stack it
+    is ``WeightMatrix.neighbour_sum``, which sums each vector of a stack
+    on its own, so a stacked column equals the column of that vector
+    alone bit for bit. For a draw block it is Y W' by
+    ``WeightMatrix._block_product``, on one core, which sums each draw's
+    terms in column order, so that row s does not depend on S. The
     intercept and covariate columns are length-N vectors, which
     broadcast against the stacks and blocks. The lags and ``z`` must be
     finite, and each lag's last axis must be W's N: they are checked
@@ -158,7 +158,7 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
             for y in y_lags:
                 # W^r y as r products with W; no N x N power is formed.
                 for _ in range(r):
-                    y = (_by_slab(y, w.entries.T) if y.ndim == 2
+                    y = (w._block_product(y) if y.ndim == 2
                          else w.neighbour_sum(y))
                 yield y
     if recipe.include_own_lags:

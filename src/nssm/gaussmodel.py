@@ -149,11 +149,13 @@ def _simulate_draws(run: FilterRun, recipe: DesignRecipe,
     sampler adds ``_stream(rng_seed, h, 3)`` at a horizon that needs it).
     No key ends in 0: numpy's SeedSequence pads a key with zeros, so
     ``[rng_seed, 0, 0]`` would be the stream of ``default_rng(rng_seed)``.
-    numpy fills a block in row order, and every product over the draws
-    runs on whole slabs (``_by_slab``), so row s of each block is the
-    same whatever ``n_draws``, and horizon h's blocks are the same
-    whatever H: draw s's path up to h does not depend on either. Raises
-    NumericalError when a horizon's block is not finite after ``observe``.
+    numpy fills a block in row order, the products with the K x K
+    factors run on whole slabs (``_by_slab``), and W y of the fed-back
+    draws sums each draw on its own (``design_columns``), so row s of
+    each block is the same whatever ``n_draws``, and horizon h's blocks
+    are the same whatever H: draw s's path up to h does not depend on
+    either. Raises NumericalError when a horizon's block is not finite
+    after ``observe``.
     """
     inputs = _horizon_inputs(run, recipe, horizon, future_w, future_z)
     m, p_mat, q_mat, lags = _origin(run, state_noise, recipe.lag_order)

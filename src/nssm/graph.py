@@ -21,9 +21,11 @@ class Provenance(str, Enum):
 
 
 _ROW_SUM_EPS = 1e-12
-# The largest gather ``WeightMatrix.neighbour_sum`` makes at once, in
-# float64 elements (2 MB): a long stack of vectors is summed a few
-# vectors at a time, so a dense W costs no N^2 x T temporary.
+# The largest gather ``WeightMatrix.neighbour_sum`` and
+# ``WeightMatrix._block_product`` make at once, in float64 elements
+# (2 MB), or that of one vector (two draws) where it is larger: a long
+# stack of vectors is summed a few vectors at a time, so a dense W
+# costs no N^2 x T temporary.
 _GATHER_ELEMENTS = 1 << 18
 
 
@@ -105,6 +107,21 @@ class WeightMatrix:
             nonempty = slice(None)
         return cols, self.entries[rows, cols], starts, nonempty
 
+    @cached_property
+    def _degree_groups(self):
+        """The nonempty rows of W grouped by their number of nonzeros d,
+        from ``_nonzeros``: for each d, the rows, and their columns and
+        values as two (rows x d) arrays in column order."""
+        cols, vals, starts, nonempty = self._nonzeros
+        rows = np.arange(self.n_nodes)[nonempty]
+        degrees = np.diff(starts, append=len(cols))
+        groups = []
+        for d in np.unique(degrees):
+            at = degrees == d
+            idx = starts[at, None] + np.arange(d)
+            groups.append((rows[at], cols[idx], vals[idx]))
+        return groups
+
     def neighbour_sum(self, y: np.ndarray) -> np.ndarray:
         """W y for a length-N vector, or for each length-N vector of a
         stack ``y[..., N]``, from the nonzeros of W alone.
@@ -127,6 +144,36 @@ class WeightMatrix:
             out[a:a + step, nonempty] = np.add.reduceat(products, starts,
                                                         axis=1)
         return out.reshape(np.shape(y))
+
+    def _block_product(self, y: np.ndarray) -> np.ndarray:
+        """Y W' for an S x N block ``y`` of one draw per row, from the
+        nonzeros of W alone, on one core.
+
+        The block is copied once to node-major floats with one zero
+        column after the last draw. Each group of rows of one degree d
+        (``_degree_groups``) takes its d neighbours' rows and sums them
+        with ``np.einsum``, which adds each row's d products over the
+        contiguous draw axis, one term at a time in column order. The
+        draws go a few at a time, each gather within
+        ``_GATHER_ELEMENTS``, so a dense W costs no N^2 x S temporary;
+        the part that holds the last draw ends at the zero column. So a
+        part never has a draw axis of length one, which numpy would drop
+        and then sum the d terms pairwise: entry (s, i) equals the
+        column-order sum over row s alone, whatever S and however the
+        draws are split. It agrees with ``neighbour_sum`` and with a BLAS
+        product to rounding only.
+        """
+        n_rows = y.shape[0]
+        yt = np.zeros((self.n_nodes, n_rows + 1))
+        yt[:, :n_rows] = y.T
+        out = np.zeros((n_rows, self.n_nodes))
+        step = max(2, _GATHER_ELEMENTS // max(len(self._nonzeros[0]), 1))
+        for a in range(0, n_rows, step):
+            part = yt[:, a:a + step]
+            for rows, cols, vals in self._degree_groups:
+                sums = np.einsum("ndm,nd->nm", part[cols], vals)
+                out[a:a + step, rows] = sums[:, :n_rows - a].T
+        return out
 
 
 @dataclass(frozen=True)
@@ -203,14 +250,6 @@ def operator_norm(m: np.ndarray) -> float:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return float(np.linalg.norm(m, 2))
-
-
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue modulus, exact (from the eigenvalues)."""
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def invariant_vector(w: WeightMatrix) -> InvariantVector:

@@ -215,7 +215,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     stabilizer's phi), caps the linear predictor and intensity,
     samples counts, and feeds the counts into the next step's design.
     The draws are batched: all S advance together, and W y of the fed-back
-    counts is one matrix product per slab of 64 draws. Each count
+    counts is one product of the S x N block with W's nonzeros, on one
+    core (``WeightMatrix._block_product``). Each count
     takes one uniform from its horizon's observation stream
     ``[rng_seed, h, 2]`` and inverts the Poisson CDF with it
     (``_poisson_counts``), so the raw and stabilized forecasts of one seed

@@ -150,6 +150,21 @@ def conditional_design_hstack(f, mode, lags):
     return np.hstack([np.outer(f.mode1[r], m[:, r]) for r in range(f.rank)])
 
 
+def block_product_loop(w, y):
+    """Y W' for an S x N block, each entry (s, i) a plain loop over row
+    i's nonzeros w_ij in column order, acc = 0 then acc = acc + w_ij y_sj,
+    run for all draws at once: the draws are summed independently."""
+    w = np.asarray(w, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    for i in range(w.shape[0]):
+        acc = np.zeros(y.shape[0])
+        for j in np.flatnonzero(w[i]):
+            acc = acc + w[i, j] * y[:, j]
+        out[:, i] = acc
+    return out
+
+
 def _dense_design(w, lags, z, recipe):
     """N x K design from the recipe's column order, with explicit powers
     of W."""
@@ -341,6 +356,14 @@ def var_forecast_mse(lag_mats, r, horizon):
                         for l, b in enumerate(lag_mats[:i], start=1)))
     return [sum(phi @ r @ phi.T for phi in phis[:h])
             for h in range(1, horizon + 1)]
+
+
+def spectral_radius(m):
+    """Largest eigenvalue modulus, exact (from the eigenvalues)."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def companion_radius_dense(theta_path, lag_columns, w_seq):

@@ -902,6 +902,29 @@ def test_import_leaves_scipy_special_out():
     assert not loaded_by_cli_import("scipy.special")
 
 
+def test_poisson_forecast_leaves_scipy_sparse_out():
+    # The draw blocks' W products are plain numpy: importing scipy.sparse
+    # alone adds about 20 MB of resident memory, against a peak near
+    # 90 MB for a whole Poisson rolling evaluation at N = 552.
+    code = (
+        "import sys, numpy as np\n"
+        "from nssm.design import DesignRecipe\n"
+        "from nssm.graph import WeightMatrix\n"
+        "from nssm.lgss import StateNoiseSpec\n"
+        "from nssm.poissonmodel import (PoissonSpec, StabilizerConfig,\n"
+        "                               fit_poisson, mc_forecast)\n"
+        "w = WeightMatrix(np.roll(np.eye(8), 1, axis=1))\n"
+        "panel = np.random.default_rng(0).poisson(2.0, (20, 8))\n"
+        "spec = PoissonSpec(DesignRecipe(),\n"
+        "                   StateNoiseSpec.constant(1e-4 * np.eye(3)))\n"
+        "ens = mc_forecast(fit_poisson(panel, w, spec), spec, 3, 5,\n"
+        "                  StabilizerConfig(), 0)\n"
+        "print(len(ens), 'scipy.sparse' in sys.modules)\n")
+    out = run_python(["-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["3", "False"]
+
+
 def test_import_leaves_networkx_out():
     # nssm does not depend on networkx; simulate draws its scale-free
     # graphs itself.

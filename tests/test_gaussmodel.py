@@ -514,11 +514,11 @@ class TestMcForecastGaussian:
     @pytest.mark.parametrize("noise", ["diagonal", "full"])
     def test_draw_count_invariance_at_larger_n(self, n, noise):
         # At these N, BLAS computes a row of a 10-row product in another
-        # order than the same row of a 70- or 130-row one; every product
-        # over the draws runs on whole 64-row slabs, so the draws stay
-        # equal. With full R the observation noise goes through an N x N
-        # product too; with lag 2 and powers (1, 2), W^2 Y is two, and F
-        # is one more.
+        # order than the same row of a 70- or 130-row one; the products
+        # with F and chol(R) run on whole 64-row slabs, and Y W' sums each
+        # draw on its own, so the draws stay equal. With full R the
+        # observation noise goes through an N x N product; with lag 2 and
+        # powers (1, 2), W^2 Y is two products with W, and F is one more.
         w = make_w(n=n, density=0.1)
         panel, _ = simulate_panel(w, t_len=20)
         rng = np.random.default_rng(n)
@@ -542,6 +542,26 @@ class TestMcForecastGaussian:
                                                  rng_seed=3)
                     for ds, dl in zip(small, large):
                         assert np.array_equal(ds["draws"], dl["draws"][:10])
+
+    @pytest.mark.parametrize("n", [6, 50])
+    @pytest.mark.parametrize("recipe", [
+        DesignRecipe(), DesignRecipe(lag_order=2, network_powers=(1, 2))],
+        ids=["default", "lag2_powers12"])
+    def test_one_draw_is_draw_zero_of_many(self, n, recipe):
+        # From h = 2 on, W y of the fed-back draws is a product over the
+        # draws; with one draw it must sum each row as draw 0 of 70 does.
+        # At N = 50 the rows have about 25 nonzeros, enough for a pairwise
+        # sum to round otherwise.
+        w = make_w(n=n)
+        panel, _ = simulate_panel(w, t_len=20)
+        spec = GaussianSpec(recipe=recipe, obs_noise=ObsNoise("scalar", 0.25),
+                            state_noise=StateNoiseSpec.constant(
+                                1e-4 * np.eye(recipe.n_cols)))
+        run = fit_gaussian(panel, w, None, spec)
+        one = mc_forecast_gaussian(run, spec, 4, 1, rng_seed=3)
+        many = mc_forecast_gaussian(run, spec, 4, 70, rng_seed=3)
+        for d1, d70 in zip(one, many):
+            assert np.array_equal(d1["draws"], d70["draws"][:1])
 
     def test_horizon_invariance(self):
         w = make_w()

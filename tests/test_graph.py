@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import spectral_radius
+
+from nssm import graph
 from nssm.graph import (
     Adjacency,
     Partition,
@@ -12,7 +16,6 @@ from nssm.graph import (
     perturb,
     quotient_operator,
     row_normalize,
-    spectral_radius,
 )
 from nssm.graph import _GATHER_ELEMENTS
 
@@ -132,6 +135,80 @@ class TestNeighbourSum:
             assert np.array_equal(w.neighbour_sum(y[i]), got[i])
         assert np.all(np.abs(got - y @ w.entries.T)
                       <= 1e-15 * (np.abs(y) @ w.entries.T))
+
+
+def random_weights(rng, n, kind):
+    """A directed W: sparse, with some empty rows, or dense, its entries
+    spread over six orders of magnitude."""
+    a = rng.random((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+    if kind == "sparse":
+        a *= rng.random((n, n)) < 0.15
+    elif kind == "empty_rows":
+        a *= rng.random((n, n)) < 0.3
+        a[rng.random(n) < 0.5] = 0.0
+    return WeightMatrix(a)
+
+
+def random_block(rng, rows, n, counts):
+    """An S x N block of draws: int64 counts, or floats of both signs over
+    six orders of magnitude."""
+    if counts:
+        return rng.poisson(rng.uniform(0.1, 50.0, n), (rows, n))
+    return rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 3, n)
+
+
+class TestBlockProduct:
+    """``WeightMatrix._block_product`` is Y W' for a block of draws, each
+    entry the column-order loop over its row's nonzeros
+    (``oracles.block_product_loop``), bit for bit, and row s the same
+    whatever the number of rows and however the rows are split into
+    parts."""
+
+    @given(st.integers(0, 10_000), st.integers(1, 60),
+           st.sampled_from(["sparse", "empty_rows", "dense"]),
+           st.integers(1, 150), st.booleans(), st.sampled_from([None, 2, 3, 7]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_loop_for_every_row_count(self, seed, n, kind,
+                                                       rows, counts, step):
+        # ``step`` draws per part, by the gather bound; None keeps the
+        # library's bound, which splits a dense W from N = 42 at S = 150.
+        rng = np.random.default_rng(seed)
+        w = random_weights(rng, n, kind)
+        y = random_block(rng, rows, n, counts)
+        nnz = np.count_nonzero(w.entries)
+        bound = _GATHER_ELEMENTS if step is None else step * max(nnz, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_GATHER_ELEMENTS", bound)
+            got = w._block_product(y)
+            assert got.shape == y.shape and got.dtype == float
+            assert np.array_equal(got, oracles.block_product_loop(w.entries, y))
+            for s in {1, rows // 2, rows - 1} - {0}:
+                assert np.array_equal(w._block_product(y[:s]), got[:s])
+            assert np.array_equal(w._block_product(y[rows // 2:]),
+                                  got[rows // 2:])
+
+    def test_every_row_count_across_part_boundaries(self):
+        # Dense W at N = 60: 3,600 nonzeros, so the library's bound splits
+        # the draws into parts of 72, and S = 1..150 ends a part at every
+        # position, with zero, one or two whole parts before it.
+        rng = np.random.default_rng(1)
+        w = random_weights(rng, 60, "dense")
+        step = _GATHER_ELEMENTS // np.count_nonzero(w.entries)
+        assert 2 * step < 150
+        for counts in (False, True):
+            y = random_block(rng, 150, 60, counts)
+            full = w._block_product(y)
+            assert np.array_equal(full, oracles.block_product_loop(w.entries, y))
+            for s in range(1, 151):
+                assert np.array_equal(w._block_product(y[:s]), full[:s])
+
+    def test_no_edges_and_one_node(self):
+        y = np.array([[2.0], [-3.0]])
+        assert np.array_equal(
+            WeightMatrix(np.array([[0.5]]))._block_product(y), 0.5 * y)
+        assert np.array_equal(
+            WeightMatrix(np.zeros((4, 4)))._block_product(np.ones((3, 4))),
+            np.zeros((3, 4)))
 
 
 class TestNorms:

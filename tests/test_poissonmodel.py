@@ -337,10 +337,11 @@ class TestMcForecast:
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_draw_count_invariance_at_larger_n(self, n):
-        # At these N, BLAS computes a row of the 10-row Y @ W' in another
-        # order than the same row of a 70- or 130-row one; all run on
-        # whole 64-row slabs, so the intensities stay equal. With lag 2
-        # and powers (1, 2), W^2 Y is two slab products; F is one more.
+        # At these N, BLAS computes a row of a 10-row product in another
+        # order than the same row of a 70- or 130-row one; the products
+        # with F run on whole 64-row slabs, and Y W' sums each draw on its
+        # own, so the intensities stay equal. With lag 2 and powers
+        # (1, 2), W^2 Y is two products with W; F is one more.
         rng = np.random.default_rng(n)
         a = (rng.random((n, n)) < 0.1) * 1.0
         np.fill_diagonal(a, 0.0)
@@ -364,6 +365,26 @@ class TestMcForecast:
                         assert np.array_equal(es.intensities,
                                               el.intensities[:10])
                         assert np.array_equal(es.counts, el.counts[:10])
+
+    @pytest.mark.parametrize("n", [6, 50])
+    @pytest.mark.parametrize("recipe", [
+        DesignRecipe(), DesignRecipe(lag_order=2, network_powers=(1, 2))],
+        ids=["default", "lag2_powers12"])
+    def test_one_draw_is_draw_zero_of_many(self, n, recipe):
+        # From h = 2 on, W y of the fed-back counts is a product over the
+        # draws; with one draw it must sum each row as draw 0 of 70 does.
+        # At N = 50 the rows have about 25 nonzeros, enough for a pairwise
+        # sum to round otherwise.
+        w = make_w(n=n)
+        panel, _ = simulate_counts(w, t_len=30)
+        spec = PoissonSpec(recipe=recipe, state_noise=StateNoiseSpec.constant(
+            1e-4 * np.eye(recipe.n_cols)))
+        run = fit_poisson(panel, w, spec)
+        one = mc_forecast(run, spec, 4, 1, StabilizerConfig(), rng_seed=3)
+        many = mc_forecast(run, spec, 4, 70, StabilizerConfig(), rng_seed=3)
+        for e1, e70 in zip(one, many):
+            assert np.array_equal(e1.intensities, e70.intensities[:1])
+            assert np.array_equal(e1.counts, e70.counts[:1])
 
     def test_fallback_streams_only_where_needed(self, monkeypatch):
         # At high intensities each horizon adds its fallback stream, keyed
@@ -420,7 +441,7 @@ class TestMcForecast:
 
 
 class TestBatchedAgainstPerDraw:
-    """mc_forecast advances all draws together, in slabs of 64, and draws
+    """mc_forecast advances all draws together and draws
     each horizon's state noise and counts as one block; the per-draw loop
     in ``oracles``, which takes draw s's values one at a time from the
     same shared streams, is the reference. Counts must match exactly;
