@@ -6,30 +6,4 @@ forecasting, theory-backed diagnostics, and a rolling-origin evaluation
 harness.
 """
 
-from .design import DesignRecipe, build_design, spillover_matrix
-from .gaussmodel import GaussianSpec, fit_gaussian, forecast_gaussian
-from .graph import Adjacency, WeightMatrix, row_normalize
-from .lgss import Belief, FilterRun, ObsBlock, StateNoiseSpec
-from .poissonmodel import PoissonSpec, StabilizerConfig, fit_poisson, mc_forecast
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Adjacency",
-    "Belief",
-    "DesignRecipe",
-    "FilterRun",
-    "GaussianSpec",
-    "ObsBlock",
-    "PoissonSpec",
-    "StabilizerConfig",
-    "StateNoiseSpec",
-    "WeightMatrix",
-    "build_design",
-    "fit_gaussian",
-    "fit_poisson",
-    "forecast_gaussian",
-    "mc_forecast",
-    "row_normalize",
-    "spillover_matrix",
-]

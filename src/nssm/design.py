@@ -131,7 +131,8 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
     intercept and covariate columns are length-N vectors, which
     broadcast against the stacks and blocks. The lags and ``z`` must be
     finite, and each lag's last axis must be W's N: they are checked
-    before any product with W.
+    before any product with W. A ``z`` for a recipe without covariate
+    columns is rejected, not dropped.
     """
     n = w.n_nodes
     for l, y in enumerate(y_lags, start=1):
@@ -150,6 +151,9 @@ def design_columns(w: WeightMatrix, y_lags: Sequence[np.ndarray],
             )
         if not np.all(np.isfinite(z)):
             raise ValueError("covariate block: Z has entries that are not finite")
+    elif z is not None:
+        raise ValueError("covariate block: Z supplied but the recipe has no "
+                         "covariate columns")
 
     if recipe.include_intercept:
         yield np.ones(n)

@@ -11,7 +11,6 @@ import numpy as np
 
 from .graph import WeightMatrix, perturb
 from .lgss import FilterRun
-from .poissonmodel import EXPLOSION_THRESHOLD
 
 DEFAULT_HORIZONS = (1, 2, 4, 8)
 # The failures that mask a rolling-evaluation origin; any other exception
@@ -53,9 +52,15 @@ class EvalReport:
     failure_mask: np.ndarray  # O x H bools
     extras: dict = field(default_factory=dict)
 
+    def _losses(self, metric: str) -> np.ndarray:
+        """The O x H x N cell losses of ``metric``, "mae" or "mse"."""
+        if metric not in ("mae", "mse"):
+            raise ValueError(f"metric must be 'mae' or 'mse', got {metric!r}")
+        return self.sq_err if metric == "mse" else self.abs_err
+
     def aggregate(self, metric: str = "mse") -> Dict[int, float]:
         """Mean per-cell loss over valid origins and nodes, per horizon."""
-        src = self.sq_err if metric == "mse" else self.abs_err
+        src = self._losses(metric)
         out = {}
         for j, h in enumerate(self.horizons):
             ok = ~self.failure_mask[:, j]
@@ -64,8 +69,7 @@ class EvalReport:
 
     def per_origin(self, metric: str = "mse") -> np.ndarray:
         """O x H matrix of per-origin node-averaged losses."""
-        src = self.sq_err if metric == "mse" else self.abs_err
-        vals = src.mean(axis=2)
+        vals = self._losses(metric).mean(axis=2)
         vals[self.failure_mask] = np.nan
         return vals
 
@@ -290,6 +294,8 @@ def tail_metrics(ensembles: Sequence, actuals: Sequence,
     dropping the top and bottom ``trim`` fraction.
     """
     from scipy import stats
+
+    from .poissonmodel import EXPLOSION_THRESHOLD
 
     if len(ensembles) == 0:
         raise ValueError("no ensembles supplied")

@@ -84,7 +84,8 @@ def _horizon_inputs(run: FilterRun, recipe: DesignRecipe, horizon: int,
     W comes from ``future_w`` when it is given, which then needs a network
     for every horizon; otherwise the last fitted network is carried
     forward. z comes from ``future_z``, which a recipe with covariate
-    columns requires; it is None when the recipe has none.
+    columns requires and a recipe without them rejects; it is None when
+    the recipe has none.
     """
     if future_w is None:
         ctx = run.context
@@ -95,6 +96,9 @@ def _horizon_inputs(run: FilterRun, recipe: DesignRecipe, horizon: int,
     else:
         networks = future_w
     if recipe.covariate_count == 0:
+        if future_z is not None:
+            raise ValueError("recipe has no covariate columns; future_z "
+                             "must be None")
         covariates = [None] * horizon
     elif future_z is None or len(future_z) < horizon:
         raise ValueError(
@@ -278,9 +282,9 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
     path, or an approximate network: ``future_w=[w_hat]`` at h = 1 is the
     plug-in forecast under w_hat); otherwise the last fitted network is
     carried forward. ``future_z`` holds the covariates of each horizon; a
-    recipe with covariate columns requires it. Raises NumericalError when
-    a horizon's mean or covariance is not finite, without numpy's overflow
-    warnings on the way there.
+    recipe with covariate columns requires it, and one without them
+    rejects it. Raises NumericalError when a horizon's mean or covariance
+    is not finite, without numpy's overflow warnings on the way there.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -229,7 +229,8 @@ def mc_forecast(run: FilterRun, spec: PoissonSpec, horizon: int, n_draws: int,
     horizon h the same whatever ``horizon``. ``future_w``, if given,
     holds the network of each horizon; otherwise the last fitted network
     is carried forward. ``future_z`` holds the covariates of each
-    horizon; a recipe with covariate columns requires it.
+    horizon; a recipe with covariate columns requires it, and one
+    without them rejects it.
     """
     if horizon < 1 or n_draws < 1:
         raise ValueError("horizon and n_draws must be >= 1")

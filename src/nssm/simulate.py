@@ -258,7 +258,8 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
     """Simulate Y_t = b0 1 + b1 W Y_{t-1} + b2 Y_{t-1} + Z gamma + eps.
 
     ``paths`` columns are (beta0, beta1, beta2[, ...]); eps is
-    N(0, sigma2 I). ``w_or_seq`` is one WeightMatrix or a sequence that
+    N(0, sigma2 I). ``z`` (one N x C array per step) and ``gamma`` are
+    given together or not at all. ``w_or_seq`` is one WeightMatrix or a sequence that
     ``design._w_at`` reads: one network, or one for each of the
     t_len + burn_in steps. Emits an instability warning (not an error)
     when max_t of the spillover operator norm exceeds 1.
@@ -267,6 +268,8 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
         raise ValueError("sigma2 must be finite and nonnegative")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if (z is None) != (gamma is None):
+        raise ValueError("z and gamma must be given together")
     total = t_len + burn_in
     paths = _check_paths(paths, total)
     rng = np.random.default_rng(seed)
@@ -288,7 +291,7 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
         if np.sqrt(bound_inf * bound_one) > 1.0:
             max_norm = max(max_norm, operator_norm(spillover_matrix(b1, b2, w_t)))
         mean = b0 + b1 * (w_t.entries @ out[t - 1]) + b2 * out[t - 1]
-        if z is not None and gamma is not None:
+        if z is not None:
             mean = mean + np.asarray(z[t]) @ np.asarray(gamma)
         out[t] = mean + sd * rng.standard_normal(n)
     if max_norm > 1.0:

@@ -880,13 +880,18 @@ def run_python(args):
                           capture_output=True, text=True, timeout=120)
 
 
+def loaded_after_import(module):
+    """The modules a fresh interpreter has loaded after ``import module``."""
+    code = f"import sys, {module}; print(*sys.modules)"
+    out = run_python(["-c", code])
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
 def loaded_by_cli_import(module):
     """Whether a fresh interpreter has ``module`` loaded after
     ``import nssm.cli``."""
-    code = f"import sys, nssm.cli; print({module!r} in sys.modules)"
-    out = run_python(["-c", code])
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip() == "True"
+    return module in loaded_after_import("nssm.cli")
 
 
 def test_import_leaves_scipy_stats_out():
@@ -929,3 +934,26 @@ def test_import_leaves_networkx_out():
     # nssm does not depend on networkx; simulate draws its scale-free
     # graphs itself.
     assert not loaded_by_cli_import("networkx")
+
+
+class TestImportGraph:
+    """The package root holds only the version, and each module loads
+    only the nssm modules it imports."""
+
+    @staticmethod
+    def package(loaded):
+        return {m for m in loaded if m == "nssm" or m.startswith("nssm.")}
+
+    def test_package_root_loads_nothing(self):
+        loaded = loaded_after_import("nssm")
+        assert self.package(loaded) == {"nssm"}
+        assert "numpy" not in loaded
+
+    def test_tensorcp_loads_lgss_alone(self):
+        assert self.package(loaded_after_import("nssm.tensorcp")) == {
+            "nssm", "nssm.lgss", "nssm.tensorcp"}
+
+    def test_evalharness_leaves_poissonmodel_out(self):
+        # Only tail_metrics reads poissonmodel's explosion threshold, and
+        # it imports it when called.
+        assert "nssm.poissonmodel" not in loaded_after_import("nssm.evalharness")

@@ -14,9 +14,12 @@ from nssm.design import (
     design_stack,
     spillover_matrix,
 )
-from nssm.gaussmodel import GaussianSpec, fit_gaussian, mc_forecast_gaussian
+from nssm.gaussmodel import (GaussianSpec, fit_gaussian, forecast_gaussian,
+                             mc_forecast_gaussian)
 from nssm.graph import Adjacency, WeightMatrix, row_normalize
 from nssm.lgss import StateNoiseSpec
+from nssm.poissonmodel import (PoissonSpec, StabilizerConfig, fit_poisson,
+                               mc_forecast)
 
 
 def simple_w(n=4, seed=0):
@@ -209,6 +212,55 @@ class TestNetworkSize:
         with pytest.raises(ValueError, match="but W has 2 nodes"):
             mc_forecast_gaussian(run, spec, 2, 5, 0,
                                  future_w=[simple_w(2)] * 2)
+
+
+class TestUnusedCovariates:
+    """A Z or future_z for a recipe without covariate columns is rejected,
+    not dropped: dropped, it would leave a fit or forecast without the
+    covariates its caller passed, and say nothing."""
+
+    PANEL = np.random.default_rng(3).poisson(2.0, (10, 4))
+    Z = np.ones((4, 1))
+    FUTURE_Z = np.ones((2, 4, 1))
+    NOISE = StateNoiseSpec.constant(1e-3 * np.eye(3))
+    NO_COVARIATES = "no covariate columns; future_z must be None"
+
+    def test_build_design_rejects_z(self):
+        with pytest.raises(ValueError, match="covariate block"):
+            build_design(simple_w(), [np.zeros(4)], self.Z, DesignRecipe())
+
+    @pytest.mark.parametrize("z", [Z, np.ones((6, 4, 1))],
+                             ids=["static", "per_step"])
+    def test_design_stack_rejects_z(self, z):
+        with pytest.raises(ValueError, match="covariate block"):
+            design_stack(simple_w(), np.ones((6, 4)), z, DesignRecipe())
+
+    def test_fits_reject_z(self):
+        with pytest.raises(ValueError, match="covariate block"):
+            fit_gaussian(self.PANEL, simple_w(), self.Z,
+                         GaussianSpec(DesignRecipe(), self.NOISE))
+        with pytest.raises(ValueError, match="covariate block"):
+            fit_poisson(self.PANEL, simple_w(),
+                        PoissonSpec(DesignRecipe(), self.NOISE), z=self.Z)
+
+    def test_forecast_gaussian_rejects_future_z(self):
+        spec = GaussianSpec(DesignRecipe(), self.NOISE)
+        run = fit_gaussian(self.PANEL, simple_w(), None, spec)
+        with pytest.raises(ValueError, match=self.NO_COVARIATES):
+            forecast_gaussian(run, spec, 2, future_z=self.FUTURE_Z)
+
+    def test_mc_forecast_gaussian_rejects_future_z(self):
+        spec = GaussianSpec(DesignRecipe(), self.NOISE)
+        run = fit_gaussian(self.PANEL, simple_w(), None, spec)
+        with pytest.raises(ValueError, match=self.NO_COVARIATES):
+            mc_forecast_gaussian(run, spec, 2, 5, 0, future_z=self.FUTURE_Z)
+
+    def test_mc_forecast_rejects_future_z(self):
+        spec = PoissonSpec(DesignRecipe(), self.NOISE)
+        run = fit_poisson(self.PANEL, simple_w(), spec)
+        with pytest.raises(ValueError, match=self.NO_COVARIATES):
+            mc_forecast(run, spec, 2, 5, StabilizerConfig(), 0,
+                        future_z=self.FUTURE_Z)
 
 
 class TestSpillover:

@@ -370,6 +370,15 @@ class TestPairedDeltas:
         with pytest.raises(ValueError, match="share"):
             paired_deltas(a, b)
 
+    @pytest.mark.parametrize("metric", ["MSE", "rmse", "mase"])
+    def test_unknown_loss_rejected(self, metric):
+        # "MSE" or "rmse" must not read as MAE.
+        a = self._report(4)
+        for losses in (a.aggregate, a.per_origin,
+                       lambda m: paired_deltas(a, a, m)):
+            with pytest.raises(ValueError, match="'mae' or 'mse'"):
+                losses(metric)
+
 
 class TestCoverageAndPit:
     def test_count_zero_pit_is_v_times_f0(self):

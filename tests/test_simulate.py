@@ -247,6 +247,16 @@ class TestGenGaussianPanel:
             gen_gaussian_panel(WeightMatrix(np.eye(3)), paths, sigma2, 10,
                                seed=0)
 
+    @pytest.mark.parametrize("given", ["z", "gamma"])
+    def test_half_given_covariates_rejected(self, given):
+        # Zγ needs both: with one alone the panel would have no
+        # covariate term.
+        paths = np.tile([0.0, 0.3, 0.3], (10, 1))
+        inputs = {"z": np.ones((10, 3, 1)), "gamma": np.ones(1)}
+        with pytest.raises(ValueError, match="z and gamma"):
+            gen_gaussian_panel(WeightMatrix(np.eye(3)), paths, 0.1, 10,
+                               seed=0, **{given: inputs[given]})
+
 
 class TestBurnIn:
     PATHS = np.tile([0.1, 0.05, 0.05], (20, 1))
