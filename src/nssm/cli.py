@@ -27,7 +27,6 @@ from .lgss import StateNoiseSpec, filter_run_to_dict
 from .poissonmodel import (
     PoissonSpec,
     StabilizerConfig,
-    ensemble_stats,
     fit_poisson,
     mc_forecast,
 )
@@ -213,21 +212,30 @@ def _cmd_fit(args, cfg: dict, out: Path):
     return {"loglik": run.loglik}
 
 
+def _forecaster(cfg: dict, spec, seed: int):
+    """The model's ``forecast(run, h_max) -> (means, ensembles)``: the
+    per-horizon means, and the Poisson count ensembles (None for the
+    Gaussian model, whose means are closed-form)."""
+    if cfg["model"] == "gaussian":
+        return lambda run, h_max: (
+            [fc.mean for fc in forecast_gaussian(run, spec, h_max)], None)
+    stab = _stabilizer(cfg)
+    n_draws = _value(cfg, "S", integer, 300)
+
+    def forecast(run, h_max):
+        ensembles = mc_forecast(run, spec, h_max, n_draws, stab, seed)
+        return [e.counts.mean(axis=0) for e in ensembles], ensembles
+    return forecast
+
+
 def _cmd_forecast(args, cfg: dict, out: Path):
     run, spec, panel, w = _fit_from_args(args, cfg)
     horizon = _value(cfg, "horizon", integer, 8)
-    if cfg["model"] == "gaussian":
-        fcs = forecast_gaussian(run, spec, horizon)
-        mat = np.asarray([fc.mean for fc in fcs])
-    else:
-        stab = _stabilizer(cfg)
-        n_draws = _value(cfg, "S", integer, 300)
-        ensembles = mc_forecast(run, spec, horizon, n_draws, stab, args.seed)
-        mat = np.asarray([ensemble_stats(e)["mean"] for e in ensembles])
-        if args.dump_draws:
-            np.savez(out / "draws.npz",
-                     **{f"counts_h{e.horizon}": e.counts for e in ensembles})
-    nio.write_matrix_csv(out / "forecast_means.csv", mat)
+    means, ensembles = _forecaster(cfg, spec, args.seed)(run, horizon)
+    if args.dump_draws and ensembles is not None:
+        np.savez(out / "draws.npz",
+                 **{f"counts_h{e.horizon}": e.counts for e in ensembles})
+    nio.write_matrix_csv(out / "forecast_means.csv", np.asarray(means))
 
 
 def _cmd_evaluate(args, cfg: dict, out: Path):
@@ -243,19 +251,10 @@ def _cmd_evaluate(args, cfg: dict, out: Path):
     plan = EvalPlan(origins=tuple(origins), horizons=horizons,
                     t_len=panel.shape[0])
 
-    if cfg["model"] == "gaussian":
-        def forecast_fn(sub, h_max):
-            return [fc.mean for fc in forecast_gaussian(sub, spec, h_max)]
-    else:
-        stab = _stabilizer(cfg)
-        n_draws = _value(cfg, "S", integer, 300)
-
-        def forecast_fn(sub, h_max):
-            ens = mc_forecast(sub, spec, h_max, n_draws, stab, args.seed)
-            return [e.counts.mean(axis=0) for e in ens]
-
+    forecast = _forecaster(cfg, spec, args.seed)
     # The pass over the whole panel is the one already fitted above.
-    report = rolling_eval(lambda *_: run, forecast_fn, panel, w, plan)
+    report = rolling_eval(lambda *_: run, lambda sub, h: forecast(sub, h)[0],
+                          panel, w, plan)
     abs_err, sq_err = report.abs_err.tolist(), report.sq_err.tolist()
     with open(out / "report.csv", "w") as fh:
         fh.write("origin,horizon,node,metric,value\n")

@@ -1,4 +1,4 @@
-"""Network design matrices and augmented pseudo-observation blocks."""
+"""Network design matrices."""
 
 from __future__ import annotations
 
@@ -67,28 +67,6 @@ class DesignRecipe:
         cols = list(enumerate(self._columns()))
         return [[(j, r) for j, (_, lag, r) in cols if lag == l]
                 for l in range(1, self.lag_order + 1)]
-
-
-@dataclass(frozen=True)
-class SummaryAugment:
-    """Linear network summaries s_t = S Y_t + noise with covariance V."""
-
-    s_matrix: np.ndarray
-    v_matrix: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s_matrix, dtype=float)
-        v = np.asarray(self.v_matrix, dtype=float)
-        if v.shape != (s.shape[0], s.shape[0]):
-            raise ValueError("V must be M x M for S with M rows")
-        if np.max(np.abs(v - v.T)) > 1e-10:
-            raise ValueError("V must be symmetric")
-        try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("V must be positive definite") from exc
-        object.__setattr__(self, "s_matrix", s)
-        object.__setattr__(self, "v_matrix", v)
 
 
 # Monte-Carlo draws per slab (``_by_slab``).
@@ -270,22 +248,3 @@ def lag_matrices(theta: np.ndarray, lag_columns,
     return np.hstack([sum((theta[j] * ops[r] for j, r in cols), zeros)
                       for cols in lag_columns])
 
-
-def augment_summaries(x: np.ndarray, r: np.ndarray, aug: SummaryAugment):
-    """Stack summary pseudo-observations below the N x K node design x.
-
-    Returns (H_stacked, R_stacked) with H = [X; S X] and
-    R = blockdiag(R, V); node rows come first.
-    """
-    s = aug.s_matrix
-    n, m = x.shape[0], s.shape[0]
-    if s.shape[1] != n:
-        raise ValueError(
-            f"summary matrix has {s.shape[1]} columns but design has {n} rows"
-        )
-    r = np.asarray(r, dtype=float)
-    h_stacked = np.vstack([x, s @ x])
-    r_stacked = np.zeros((n + m, n + m))
-    r_stacked[:n, :n] = r
-    r_stacked[n:, n:] = aug.v_matrix
-    return h_stacked, r_stacked

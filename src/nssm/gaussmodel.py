@@ -62,7 +62,6 @@ class GaussianSpec:
     obs_noise: ObsNoise = field(default_factory=ObsNoise)
     m0: Optional[np.ndarray] = None
     p0_scale: float = 10.0
-    edge_submodel: Optional[EdgeSubmodel] = None
 
     def initial_belief(self) -> Belief:
         k = self.recipe.n_cols
@@ -347,21 +346,21 @@ def mc_forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
 
 
 def fit_joint_node_edge(panel: np.ndarray, edge_obs: np.ndarray, w_seq,
-                        spec: GaussianSpec,
+                        spec: GaussianSpec, edge: EdgeSubmodel,
                         design_fn: Optional[Callable] = None) -> FilterRun:
     """Joint filter over the stacked node-edge state.
 
+    ``spec`` is the node model's, and ``edge`` the edge block's: the
+    T x M ``edge_obs`` are a_t = L psi_t + noise(U), with the loading L,
+    U and the constant state noise (and transition) of psi_t.
     Per step: predict with blockdiag(F_node, F_edge) and blockdiag(Q_node,
     Q_edge), then update with the edge block [0 | L] followed by the node
-    block [X_t | 0]. A spec without a transition F contributes the
+    block [X_t | 0]. A block without a transition F contributes the
     identity; with neither, the state is a random walk. By default
     the node design is built from ``w_seq`` and the lagged panel;
     ``design_fn(t, lags, a_t)`` overrides it when the design depends on
     the realized edges.
     """
-    if spec.edge_submodel is None:
-        raise ValueError("fit_joint_node_edge requires an edge submodel")
-    edge = spec.edge_submodel
     panel = np.asarray(panel, dtype=float)
     edge_obs = np.asarray(edge_obs, dtype=float)
     if not (np.all(np.isfinite(panel)) and np.all(np.isfinite(edge_obs))):

@@ -11,7 +11,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .design import _w_at, spillover_matrix
+from .design import _w_at, _z_at, spillover_matrix
 from .graph import Adjacency, operator_norm, row_normalize
 from .lgss import _check_psd
 
@@ -258,8 +258,10 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
     """Simulate Y_t = b0 1 + b1 W Y_{t-1} + b2 Y_{t-1} + Z gamma + eps.
 
     ``paths`` columns are (beta0, beta1, beta2[, ...]); eps is
-    N(0, sigma2 I). ``z`` (one N x C array per step) and ``gamma`` are
-    given together or not at all. ``w_or_seq`` is one WeightMatrix or a sequence that
+    N(0, sigma2 I). ``z`` and the length-C ``gamma`` are given together
+    or not at all; ``z`` is read as ``design._z_at`` reads it: one static
+    N x C array, or one for each of the t_len + burn_in steps.
+    ``w_or_seq`` is one WeightMatrix or a sequence that
     ``design._w_at`` reads: one network, or one for each of the
     t_len + burn_in steps. Emits an instability warning (not an error)
     when max_t of the spillover operator norm exceeds 1.
@@ -274,6 +276,16 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
     paths = _check_paths(paths, total)
     rng = np.random.default_rng(seed)
     n = _w_at(w_or_seq, 0).n_nodes
+    if z is not None:
+        z, gamma = np.asarray(z, dtype=float), np.asarray(gamma, dtype=float)
+        static = z.ndim == 2 and z.shape[0] == n
+        per_step = z.ndim == 3 and z.shape[0] >= total and z.shape[1] == n
+        if not (static or per_step):
+            raise ValueError(f"z has shape {z.shape}; expected ({n}, C) or "
+                             f"one ({n}, C) array for each of {total} steps")
+        if gamma.shape != z.shape[-1:]:
+            raise ValueError(f"gamma has shape {gamma.shape}; expected "
+                             f"({z.shape[-1]},) for z's {z.shape[-1]} columns")
     y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float)
     sd = np.sqrt(sigma2)
 
@@ -292,7 +304,7 @@ def gen_gaussian_panel(w_or_seq, paths, sigma2: float, t_len: int, seed: int,
             max_norm = max(max_norm, operator_norm(spillover_matrix(b1, b2, w_t)))
         mean = b0 + b1 * (w_t.entries @ out[t - 1]) + b2 * out[t - 1]
         if z is not None:
-            mean = mean + np.asarray(z[t]) @ np.asarray(gamma)
+            mean = mean + _z_at(z, t) @ gamma
         out[t] = mean + sd * rng.standard_normal(n)
     if max_norm > 1.0:
         warnings.warn(

@@ -469,12 +469,12 @@ def fit_poisson_per_step(panel, w_seq, spec, z=None):
     return _per_step_run(filtered, predicted, per_step, s_states)
 
 
-def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, design_fn=None):
+def fit_joint_node_edge_per_step(panel, edge_obs, w_seq, spec, edge,
+                                 design_fn=None):
     """fit_joint_node_edge one time step at a time: predict the stacked
     state (with blockdiag(F_node, F_edge), identity for a missing F, when
-    either spec has a transition), update on the edge block [0 | L], then
+    either block has a transition), update on the edge block [0 | L], then
     the node block [X_t | 0]."""
-    edge = spec.edge_submodel
     panel = np.asarray(panel, dtype=float)
     t_len, n = panel.shape
     p, k_n = spec.recipe.lag_order, spec.recipe.n_cols

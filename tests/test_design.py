@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from nssm.design import (
     DesignRecipe,
-    SummaryAugment,
-    augment_summaries,
     build_design,
     design_columns,
     design_stack,
@@ -273,30 +271,3 @@ class TestSpillover:
         w = simple_w()
         b = spillover_matrix(0.3, 0.6, w)
         assert np.max(np.abs(b).sum(axis=1)) <= 0.9 + 1e-12
-
-
-class TestSummaryAugment:
-    def test_stacked_shapes_and_blocks(self):
-        w = simple_w()
-        x = build_design(w, [np.ones(4)], None, DesignRecipe())
-        s = np.ones((1, 4)) / 4.0
-        aug = SummaryAugment(s_matrix=s, v_matrix=np.array([[0.5]]))
-        r = np.eye(4)
-        h_st, r_st = augment_summaries(x, r, aug)
-        assert h_st.shape == (5, 3)
-        assert np.allclose(h_st[:4], x)
-        assert np.allclose(h_st[4], s @ x)
-        assert np.allclose(r_st[:4, :4], r)
-        assert r_st[4, 4] == 0.5
-        assert np.all(r_st[:4, 4] == 0)
-
-    def test_v_must_be_pd(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            SummaryAugment(s_matrix=np.ones((1, 3)), v_matrix=np.array([[0.0]]))
-
-    def test_dimension_mismatch(self):
-        w = simple_w()
-        x = build_design(w, [np.ones(4)], None, DesignRecipe())
-        aug = SummaryAugment(s_matrix=np.ones((1, 3)), v_matrix=np.eye(1))
-        with pytest.raises(ValueError, match="columns"):
-            augment_summaries(x, np.eye(4), aug)

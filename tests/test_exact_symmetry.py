@@ -64,8 +64,8 @@ def test_poisson_fit(threshold):
 
 @pytest.mark.parametrize("transition", [None, "node"])
 def test_joint_node_edge_fit(transition):
-    panel, edge_obs, w, spec = joint_case(transition)
-    assert_run_symmetric(fit_joint_node_edge(panel, edge_obs, w, spec))
+    panel, edge_obs, w, spec, edge = joint_case(transition)
+    assert_run_symmetric(fit_joint_node_edge(panel, edge_obs, w, spec, edge))
 
 
 def test_cp_fit():

@@ -136,9 +136,9 @@ def test_poisson(with_z, threshold):
 
 
 def joint_case(transition):
-    """Panel, edge observations, network and spec of a joint node-edge
-    fit; ``transition`` ("node", "edge" or None) names the block with a
-    transition F."""
+    """Panel, edge observations, network, node spec and edge block of a
+    joint node-edge fit; ``transition`` ("node", "edge" or None) names
+    the block with a transition F."""
     rng = np.random.default_rng(4)
     w = make_w()
     recipe = DesignRecipe()
@@ -151,22 +151,22 @@ def joint_case(transition):
                                    transition=0.5 * np.eye(recipe.n_cols)
                                    if transition == "node" else None),
         obs_noise=ObsNoise("scalar", 0.5),
-        edge_submodel=EdgeSubmodel(
-            loading=loading, u=np.diag(rng.random(m_e) + 0.5),
-            state_noise=StateNoiseSpec(mode="constant", q=1e-3 * np.eye(k_e),
-                                       transition=0.8 * np.eye(k_e)
-                                       if transition == "edge" else None)),
     )
+    edge = EdgeSubmodel(
+        loading=loading, u=np.diag(rng.random(m_e) + 0.5),
+        state_noise=StateNoiseSpec(mode="constant", q=1e-3 * np.eye(k_e),
+                                   transition=0.8 * np.eye(k_e)
+                                   if transition == "edge" else None))
     panel = rng.standard_normal((T, N))
     edge_obs = rng.standard_normal((T, m_e))
-    return panel, edge_obs, w, spec
+    return panel, edge_obs, w, spec, edge
 
 
 @pytest.mark.parametrize("with_design_fn,transition", [
     (False, None), (True, None), (False, "node"), (False, "edge")],
     ids=["w_design", "design_fn", "node_transition", "edge_transition"])
 def test_joint_node_edge(with_design_fn, transition):
-    panel, edge_obs, w, spec = joint_case(transition)
+    panel, edge_obs, w, spec, edge = joint_case(transition)
     design_fn = None
     if with_design_fn:
         def design_fn(t, lags, a_t):
@@ -178,8 +178,9 @@ def test_joint_node_edge(with_design_fn, transition):
     # floating-point operations in the same order, so the runs must agree
     # bit for bit.
     assert_same_run(
-        fit_joint_node_edge(panel, edge_obs, w, spec, design_fn=design_fn),
-        oracles.fit_joint_node_edge_per_step(panel, edge_obs, w, spec,
+        fit_joint_node_edge(panel, edge_obs, w, spec, edge,
+                            design_fn=design_fn),
+        oracles.fit_joint_node_edge_per_step(panel, edge_obs, w, spec, edge,
                                              design_fn=design_fn), exact=True)
 
 

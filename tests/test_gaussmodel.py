@@ -658,13 +658,13 @@ class TestJointNodeEdge:
             recipe=recipe,
             state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_n)),
             obs_noise=ObsNoise("scalar", 0.5),
-            edge_submodel=EdgeSubmodel(
-                loading=loading, u=u,
-                state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_e))),
         )
+        edge = EdgeSubmodel(
+            loading=loading, u=u,
+            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_e)))
         panel = rng.standard_normal((t_len, n))
         edge_obs = rng.standard_normal((t_len, m_e))
-        run = fit_joint_node_edge(panel, edge_obs, w, spec)
+        run = fit_joint_node_edge(panel, edge_obs, w, spec, edge)
 
         dim = k_n + k_e
         belief = Belief(mean=np.zeros(dim), cov=10.0 * np.eye(dim))
@@ -691,19 +691,14 @@ class TestJointNodeEdge:
         n, m_e, k_e = 4, 3, 2
         spec = GaussianSpec(
             recipe=DesignRecipe(),
-            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(3)),
-            edge_submodel=EdgeSubmodel(
-                loading=np.ones((m_e, k_e)), u=np.eye(m_e),
-                state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_e))))
+            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(3)))
+        edge = EdgeSubmodel(
+            loading=np.ones((m_e, k_e)), u=np.eye(m_e),
+            state_noise=StateNoiseSpec.constant(1e-3 * np.eye(k_e)))
         panel, edge_obs = np.zeros((10, n)), np.zeros((10, m_e))
         if where == "edge_obs":
             edge_obs[5, 1] = np.nan
         else:
             panel[-1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            fit_joint_node_edge(panel, edge_obs, make_w(n), spec)
-
-    def test_requires_edge_submodel(self):
-        with pytest.raises(ValueError, match="edge submodel"):
-            fit_joint_node_edge(np.zeros((5, 3)), np.zeros((5, 2)),
-                                make_w(3), default_spec())
+            fit_joint_node_edge(panel, edge_obs, make_w(n), spec, edge)

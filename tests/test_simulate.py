@@ -258,6 +258,52 @@ class TestGenGaussianPanel:
                                seed=0, **{given: inputs[given]})
 
 
+class TestCovariates:
+    """The simulator reads Z as the fits do (``design._z_at``): one static
+    N x C array, or one per step."""
+
+    N, C, T = 10, 3, 20  # T > N: a static Z read row by row runs out.
+    PATHS = np.tile([0.0, 0.3, 0.3], (T + 5, 1))  # room for a burn-in of 5
+    Z = np.arange(N * C, dtype=float).reshape(N, C)
+
+    def simulate(self, z, gamma=np.ones(C), **kwargs):
+        w = WeightMatrix(np.zeros((self.N, self.N)))
+        return gen_gaussian_panel(w, self.PATHS, 0.25, self.T, seed=0,
+                                  z=z, gamma=gamma, **kwargs)
+
+    def test_static_z_gives_each_node_its_own_effect(self):
+        # With W = 0, y_0 = 0 and b0 = 0, y_1 = Z gamma + eps, and eps is
+        # the same draw for every Z.
+        gamma = np.array([0.5, -1.0, 2.0])
+        noise = self.simulate(np.zeros((self.N, self.C)), gamma)[1]
+        assert np.allclose(self.simulate(self.Z, gamma)[1] - noise,
+                           self.Z @ gamma, atol=1e-12)
+
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    def test_static_z_equals_its_per_step_repeat(self, burn_in):
+        repeat = np.repeat(self.Z[None], self.T + burn_in, axis=0)
+        assert np.array_equal(self.simulate(self.Z, burn_in=burn_in),
+                              self.simulate(repeat, burn_in=burn_in))
+
+    @pytest.mark.parametrize("shape", [(N + 1, C), (T - 1, N, C),
+                                       (T, N + 1, C), (N * C,), (1, T, N, C)],
+                             ids=["static_wrong_n", "too_few_steps",
+                                  "per_step_wrong_n", "vector", "four_dims"])
+    def test_bad_z_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="z has shape"):
+            self.simulate(np.ones(shape))
+
+    def test_burn_in_steps_need_z_too(self):
+        with pytest.raises(ValueError, match="z has shape"):
+            self.simulate(np.ones((self.T, self.N, self.C)), burn_in=5)
+
+    @pytest.mark.parametrize("gamma", [np.ones(2), np.ones(4), np.ones((3, 1))],
+                             ids=["short", "long", "matrix"])
+    def test_gamma_not_length_c_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma has shape"):
+            self.simulate(self.Z, gamma)
+
+
 class TestBurnIn:
     PATHS = np.tile([0.1, 0.05, 0.05], (20, 1))
 
