@@ -3,6 +3,10 @@ evaluate / diagnose / irf / perturb runs with manifest provenance."""
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m nssm.cli; before numpy loads
+    from .console import one_blas_thread
+    one_blas_thread()
+
 import argparse
 import json
 import sys

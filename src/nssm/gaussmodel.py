@@ -302,9 +302,13 @@ def forecast_gaussian(run: FilterRun, spec: GaussianSpec, horizon: int,
         m, p_state = _time_update(m, p_state, q_mat, f)
         x_k = build_design(w_k, lags, z_k, recipe)
         mean_k = x_k @ m
-        a = lag_matrices(m, lag_columns, w_k)
-        a_sigma = a @ sigma
-        cov_k = x_k @ p_state @ x_k.T + r_mat + a_sigma @ a.T
+        cov_k = x_k @ p_state @ x_k.T + r_mat
+        if k == 1:  # the lags are observed: S, A S and A S A' are zero
+            a_sigma = np.zeros((n, p * n))
+        else:
+            a = lag_matrices(m, lag_columns, w_k)
+            a_sigma = a @ sigma
+            cov_k += a_sigma @ a.T
         cov_k = 0.5 * (cov_k + cov_k.T)
         if not (np.all(np.isfinite(mean_k)) and np.all(np.isfinite(cov_k))):
             raise NumericalError(f"forecast at horizon {k} is not finite")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 from typing import Optional, Sequence
@@ -82,7 +83,8 @@ def read_weight_csv(path) -> WeightMatrix:
 
 def write_manifest(out_dir, config: dict, seed: int, inputs: Sequence = (),
                    extra: Optional[dict] = None):
-    """Record the run config, seed, versions, and input checksums."""
+    """Record the run config, seed, versions, the process's
+    ``OPENBLAS_NUM_THREADS`` (None when unset) and input checksums."""
     # Imported here, so that importing nssm loads no scipy. The top-level
     # package alone gives the version; it loads neither scipy.linalg nor
     # scipy's BLAS, and it costs less than importlib.metadata.
@@ -97,6 +99,7 @@ def write_manifest(out_dir, config: dict, seed: int, inputs: Sequence = (),
             "scipy": scipy.__version__,
             "nssm": __version__,
         },
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "inputs": {str(p): sha256_file(p) for p in inputs},
     }
     if extra:

@@ -344,6 +344,37 @@ def forecast_gaussian_lag1(run, spec, horizon, future_w=None, future_z=None):
     return out
 
 
+def forecast_gaussian_companion(run, spec, horizon, future_w=None,
+                                future_z=None):
+    """The closed-form Gaussian forecast for any lag order, as written
+    with A = [B_1 ... B_p] and its products with the stacked lag
+    covariance S formed at every horizon, h = 1 (where S = 0) too.
+    Returns the per-horizon (mean, cov) pairs."""
+    from nssm.gaussmodel import _horizon_inputs, _origin
+    from nssm.lgss import _time_update
+
+    recipe, p = spec.recipe, spec.recipe.lag_order
+    m, p_state, q_mat, lags = _origin(run, spec.state_noise, p)
+    n, f = lags[0].shape[0], spec.state_noise.transition
+    r_mat = spec.obs_noise.matrix(n)
+    sigma = np.zeros((p * n, p * n))
+    out = []
+    for w_k, z_k in _horizon_inputs(run, recipe, horizon, future_w, future_z):
+        m, p_state = _time_update(m, p_state, q_mat, f)
+        x_k = build_design(w_k, lags, z_k, recipe)
+        mean_k = x_k @ m
+        a = lag_matrices(m, recipe.lag_columns(), w_k)
+        a_sigma = a @ sigma
+        cov_k = x_k @ p_state @ x_k.T + r_mat + a_sigma @ a.T
+        cov_k = 0.5 * (cov_k + cov_k.T)
+        out.append((mean_k, cov_k))
+        lags = [mean_k] + lags[:-1]
+        sigma[n:, n:] = sigma[:-n, :-n]
+        sigma[:n, n:], sigma[n:, :n] = a_sigma[:, :-n], a_sigma[:, :-n].T
+        sigma[:n, :n] = cov_k
+    return out
+
+
 def var_forecast_mse(lag_mats, r, horizon):
     """h-step forecast MSE of a VAR(p) with known lag matrices B_1..B_p and
     innovation covariance R, sum_{i<h} Phi_i R Phi_i' with the moving-

@@ -869,11 +869,16 @@ class TestIrfAndPerturb:
         assert code == 2
 
 
-def run_python(args):
+def run_python(args, **env_vars):
     """Run ``python args`` in a fresh interpreter that imports this
-    checkout's nssm; returns the completed process."""
+    checkout's nssm, with ``env_vars`` set in its environment (a None
+    value unsets the variable); returns the completed process."""
     src = str(Path(nssm.__file__).resolve().parents[1])
     env = dict(os.environ)
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return subprocess.run([sys.executable] + args, env=env,
@@ -957,3 +962,54 @@ class TestImportGraph:
         # Only tail_metrics reads poissonmodel's explosion threshold, and
         # it imports it when called.
         assert "nssm.poissonmodel" not in loaded_after_import("nssm.evalharness")
+
+
+class TestBlasThreads:
+    """A CLI process runs OpenBLAS on one thread unless the user set
+    OPENBLAS_NUM_THREADS, and its manifest records the value; importing
+    nssm.cli sets nothing."""
+
+    ENTRIES = {
+        "module": ["-m", "nssm.cli"],
+        # The console script's entry function, called as its wrapper does.
+        "console": ["-c", "import sys; from nssm.console import main; "
+                          "sys.exit(main())"],
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("user, recorded", [(None, "1"), ("2", "2")])
+    def test_manifest_records_the_count(self, tmp_path, sim_config, entry,
+                                        user, recorded):
+        out = tmp_path / "sim"
+        proc = run_python(self.ENTRIES[entry] + [
+            "simulate", "--config", sim_config, "--out", str(out)],
+            OPENBLAS_NUM_THREADS=user)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["openblas_num_threads"] == recorded
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts threads in /proc/self/task")
+    @pytest.mark.parametrize("call", [
+        "runpy.run_module('nssm.cli', run_name='__main__', alter_sys=True)",
+        "sys.exit(nssm.console.main())",
+    ], ids=["module", "console"])
+    def test_command_runs_no_pool_thread(self, tmp_path, sim_config, call):
+        # numpy's OpenBLAS reads the count when it loads, so each entry
+        # point must set it first; the command then runs on its own thread.
+        code = ("import os, runpy, sys, nssm.console\n"
+                "try:\n"
+                f"    {call}\n"
+                "finally:\n"
+                "    print(len(os.listdir('/proc/self/task')))\n")
+        out = run_python(["-c", code, "simulate", "--config", sim_config,
+                          "--out", str(tmp_path / "sim")],
+                         OPENBLAS_NUM_THREADS=None)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1"]
+
+    def test_import_sets_nothing(self):
+        code = "import os, nssm.cli; print('OPENBLAS_NUM_THREADS' in os.environ)"
+        out = run_python(["-c", code], OPENBLAS_NUM_THREADS=None)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]

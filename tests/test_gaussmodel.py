@@ -341,6 +341,30 @@ class TestForecastGaussian:
             assert np.array_equal(fc.mean, mean)
             assert np.array_equal(fc.cov, cov)
 
+    @pytest.mark.parametrize("oracle_w", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lag2_matches_companion_algebra(self, seed, oracle_w):
+        # h = 1 skips the products with S = 0; every horizon's moments
+        # are still those of the companion algebra that forms them, bit
+        # for bit.
+        rng = np.random.default_rng(seed)
+        w = make_w(seed=seed)
+        recipe = DesignRecipe(lag_order=2, network_powers=(1, 2))
+        spec = GaussianSpec(recipe=recipe,
+                            state_noise=StateNoiseSpec.constant(
+                                1e-3 * np.eye(recipe.n_cols)),
+                            obs_noise=ObsNoise("diagonal",
+                                               rng.uniform(0.1, 0.5, 6)))
+        panel, _ = simulate_panel(w, t_len=30, seed=seed)
+        run = fit_gaussian(panel, w, None, spec)
+        future_w = [make_w(seed=seed + 1 + h) for h in range(4)] \
+            if oracle_w else None
+        got = forecast_gaussian(run, spec, 4, future_w)
+        want = oracles.forecast_gaussian_companion(run, spec, 4, future_w)
+        for fc, (mean, cov) in zip(got, want):
+            assert np.array_equal(fc.mean, mean)
+            assert np.array_equal(fc.cov, cov)
+
     @pytest.mark.parametrize("recipe", LAG_RECIPES, ids=LAG_RECIPE_IDS)
     def test_h1_exact_moments_any_recipe(self, recipe):
         w = make_w()
