@@ -132,7 +132,8 @@ def _model_spec(cfg: dict):
     model = _require(cfg, "model", str)
     recipe = _recipe_from_config(cfg)
     noise = _state_noise_from_config(cfg, recipe.n_cols)
-    p0 = _value(cfg, "P0_scale", float, 10.0)
+    # A key the config leaves out takes the spec's own default.
+    p0 = {"p0_scale": _value(cfg, "P0_scale", float)} if "P0_scale" in cfg else {}
     m0 = None
     if cfg.get("m0_scale") is not None:
         m0 = _value(cfg, "m0_scale", float) * np.ones(recipe.n_cols)
@@ -141,10 +142,9 @@ def _model_spec(cfg: dict):
         if sigma2 <= 0:
             raise ConfigError("sigma2 must be positive")
         return GaussianSpec(recipe=recipe, state_noise=noise,
-                            obs_noise=ObsNoise("scalar", sigma2),
-                            m0=m0, p0_scale=p0)
+                            obs_noise=ObsNoise("scalar", sigma2), m0=m0, **p0)
     if model == "poisson":
-        return PoissonSpec(recipe=recipe, state_noise=noise, m0=m0, p0_scale=p0)
+        return PoissonSpec(recipe=recipe, state_noise=noise, m0=m0, **p0)
     raise ConfigError(f"unknown model {cfg['model']!r}")
 
 
@@ -154,9 +154,8 @@ def _stabilizer(cfg: dict) -> StabilizerConfig:
         return StabilizerConfig.disabled()
     if not isinstance(stab, dict):
         raise ConfigError("stabilizer must be an object or false")
-    return StabilizerConfig(phi=_value(stab, "phi", float, 0.98),
-                            eta_max=_value(stab, "eta_max", float, 12.0),
-                            lambda_max=_value(stab, "lambda_max", float, 1e5))
+    return StabilizerConfig(**{k: _value(stab, k, float) for k in
+                               ("phi", "eta_max", "lambda_max") if k in stab})
 
 
 def _cmd_simulate(args, cfg: dict, out: Path):

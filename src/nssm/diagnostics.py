@@ -4,7 +4,7 @@ aggregation reductions, misspecification bounds, and break detection."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .graph import (
     operator_norm,
     quotient_operator,
 )
+from .lgss import _breaks
 
 
 @dataclass(frozen=True)
@@ -276,14 +277,9 @@ def detect_breaks(theta_path: np.ndarray, d: np.ndarray) -> BreakSet:
     d = np.asarray(d, dtype=float)
     if d.shape != (k,) or np.any(d <= 0):
         raise ValueError("d must be length-K positive")
-    acts: List[Tuple[int, ...]] = []
-    for j in range(k):
-        times = [
-            t for t in range(2, t_len)
-            if abs(theta[t - 1, j] - theta[t - 2, j]) > d[j]
-        ]
-        acts.append(tuple(times))
-    return BreakSet(activations=tuple(acts), thresholds=d)
+    s = _breaks(theta[1:-1], theta[:-2], d)  # row i is time t = i + 2
+    acts = tuple(tuple(int(i) + 2 for i in np.flatnonzero(col)) for col in s.T)
+    return BreakSet(activations=acts, thresholds=d)
 
 
 def sensitivity_bound(b1: float, delta_w: float, y_norm_sq: float) -> float:

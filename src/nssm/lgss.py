@@ -457,6 +457,11 @@ def rts_smooth(run: FilterRun, q_seq: Sequence[np.ndarray],
     return _beliefs(means, covs, run.t0)
 
 
+def _breaks(theta_prev, theta_prev2, d) -> np.ndarray:
+    """The strict threshold rule |theta_prev - theta_prev2| > d, elementwise."""
+    return np.abs(np.asarray(theta_prev, dtype=float) - np.asarray(theta_prev2, dtype=float)) > d
+
+
 def threshold_Q(theta_prev: np.ndarray, theta_prev2: np.ndarray,
                 spec: StateNoiseSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Mixture-innovation variance from lagged plug-in increments.
@@ -466,8 +471,7 @@ def threshold_Q(theta_prev: np.ndarray, theta_prev2: np.ndarray,
     """
     if spec.mode != "threshold":
         raise ValueError("threshold_Q requires a threshold-mode spec")
-    inc = np.abs(np.asarray(theta_prev, dtype=float) - np.asarray(theta_prev2, dtype=float))
-    s = (inc > spec.d).astype(int)
+    s = _breaks(theta_prev, theta_prev2, spec.d).astype(int)
     q_diag = spec.q0 + s * (spec.q1 - spec.q0)
     return np.diag(q_diag), s
 

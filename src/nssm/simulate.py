@@ -117,7 +117,9 @@ class EdgePathSpec:
 
     eta0: np.ndarray
     s_cov: np.ndarray
-    feature_fn: Optional[object] = None  # callable (i, j, t, rng) -> features
+    # callable (i, j, t, rng) -> features, called once per ordered pair at
+    # t = 0 only: the features are fixed over time (intercept-only if None).
+    feature_fn: Optional[object] = None
 
     def __post_init__(self):
         eta0 = np.atleast_1d(np.asarray(self.eta0, dtype=float))

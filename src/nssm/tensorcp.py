@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -74,26 +74,6 @@ class CPFactors:
         return f
 
 
-@dataclass(frozen=True)
-class LagWindow:
-    """The p most recent responses, most recent first."""
-
-    lags: Tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.lags) == 0:
-            raise ValueError("lag window must be nonempty")
-        n = np.asarray(self.lags[0]).shape[0]
-        lags = tuple(np.asarray(v, dtype=float) for v in self.lags)
-        if any(v.shape != (n,) for v in lags):
-            raise ValueError("all lag vectors must share length N")
-        object.__setattr__(self, "lags", lags)
-
-    @property
-    def p(self) -> int:
-        return len(self.lags)
-
-
 def cp_reconstruct(f: CPFactors) -> List[np.ndarray]:
     """Dense lag slices B_l = sum_r mode3[r, l] mode1[r] mode2[r]^T."""
     n, p = f.n_nodes, f.lag_order
@@ -105,39 +85,39 @@ def cp_reconstruct(f: CPFactors) -> List[np.ndarray]:
     return slices
 
 
-def _s_vectors(f: CPFactors, lags: LagWindow) -> np.ndarray:
-    """s_r = sum_l mode3[r, l] * y_{t-l}, stacked as R x N."""
-    y = np.stack(lags.lags)  # p x N
-    return f.mode3 @ y
+def _lag_block(f: CPFactors, y) -> np.ndarray:
+    """The p x N lag block y = (y_{t-1}, ..., y_{t-p}), checked against f."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (f.lag_order, f.n_nodes):
+        raise ValueError(f"lag block must be p x N = {(f.lag_order, f.n_nodes)}, got {y.shape}")
+    return y
 
 
-def cp_mean(f: CPFactors, lags: LagWindow) -> np.ndarray:
+def cp_mean(f: CPFactors, y: np.ndarray) -> np.ndarray:
     """Trilinear conditional mean without materializing dense slices."""
-    if lags.p != f.lag_order:
-        raise ValueError("lag window length must equal the factor lag order")
-    s = _s_vectors(f, lags)
+    s = f.mode3 @ _lag_block(f, y)  # R x N; s_r = sum_l mode3[r, l] y_{t-l}
     alphas = np.einsum("rn,rn->r", f.mode2, s)
     return f.mode1.T @ alphas
 
 
-def conditional_design(f: CPFactors, mode: int, lags: LagWindow) -> np.ndarray:
+def conditional_design(f: CPFactors, mode: int, y: np.ndarray) -> np.ndarray:
     """N x (R * block) design that is linear in the chosen mode block.
 
+    With y the p x N lag block and s_r = sum_l mode3[r, l] y_{t-l}:
     mode 1: columns [alpha_1 I ... alpha_R I] with alpha_r = mode2_r' s_r;
     mode 2: [mode1_1 s_1' ... mode1_R s_R'];
     mode 3: [mode1_1 m_1' ...] with m_r = (mode2_r' y_{t-1}, ..., y_{t-p}).
     """
-    if lags.p != f.lag_order:
-        raise ValueError("lag window length must equal the factor lag order")
+    y = _lag_block(f, y)
     # One N x R x b broadcast product, flattened: block r as above.
     n = f.n_nodes
     if mode == 1:
-        alphas = np.einsum("rn,rn->r", f.mode2, _s_vectors(f, lags))
+        alphas = np.einsum("rn,rn->r", f.mode2, f.mode3 @ y)
         return (np.eye(n)[:, None, :] * alphas[None, :, None]).reshape(n, -1)
     if mode == 2:
-        s = _s_vectors(f, lags)
+        s = f.mode3 @ y
     elif mode == 3:
-        s = (np.stack(lags.lags) @ f.mode2.T).T  # R x p; s[r] = m_r
+        s = (y @ f.mode2.T).T  # R x p; s[r] = m_r
     else:
         raise ValueError("mode must be 1, 2, or 3")
     return (f.mode1.T[:, :, None] * s[None]).reshape(n, -1)
@@ -217,12 +197,12 @@ def cp_filter_alternating(panel: np.ndarray, rank: int, p: int,
 
     def sweep(i, mean, cov):
         t = p + i
-        lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
+        y = np.stack([panel[t - l] for l in range(1, p + 1)])
         step_ll = None
         for _ in range(n_sweeps):
             for mode in (1, 2, 3):
                 factors = CPFactors.unstack(mean, rank, n, p)
-                h_block = conditional_design(factors, mode, lags)
+                h_block = conditional_design(factors, mode, y)
                 if not np.any(h_block):
                     warnings.warn(
                         f"degenerate conditional design for mode {mode} at "
@@ -251,5 +231,5 @@ def cp_one_step_mean(run: FilterRun) -> np.ndarray:
     panel, rank, p = ctx["panel"], ctx["rank"], ctx["p"]
     t_last = ctx["obs_times"][-1]
     factors = CPFactors.unstack(run.means[-1], rank, panel.shape[1], p)
-    lags = LagWindow(tuple(panel[t_last - l + 1] for l in range(1, p + 1)))
-    return cp_mean(factors, lags)
+    return cp_mean(factors,
+                   np.stack([panel[t_last - l + 1] for l in range(1, p + 1)]))

@@ -134,11 +134,10 @@ def cp_dense_slices(mode1, mode2, mode3):
     return slices
 
 
-def conditional_design_hstack(f, mode, lags):
+def conditional_design_hstack(f, mode, y):
     """The CP conditional design as R blocks side by side: alpha_r I
     (mode 1), mode1_r s_r' (mode 2) or mode1_r m_r' (mode 3), with s_r and
-    m_r as in ``tensorcp.conditional_design``."""
-    y = np.stack(lags.lags)  # p x N
+    m_r as in ``tensorcp.conditional_design``; y is the p x N lag block."""
     s = f.mode3 @ y
     if mode == 1:
         alphas = np.einsum("rn,rn->r", f.mode2, s)
@@ -549,7 +548,7 @@ def cp_filter_per_step(panel, rank, p, q_scale=1e-3, r_scale=1.0,
     """cp_filter_alternating on validated beliefs: per step one predict,
     then one conditional update per mode of the sweep; the step's
     log-likelihood is the first update's."""
-    from nssm.tensorcp import CPFactors, LagWindow, conditional_design
+    from nssm.tensorcp import CPFactors, conditional_design
 
     panel = np.asarray(panel, dtype=float)
     t_len, n = panel.shape
@@ -568,7 +567,7 @@ def cp_filter_per_step(panel, rank, p, q_scale=1e-3, r_scale=1.0,
     for t in range(p, t_len):
         belief = predict(belief, q_scale * np.eye(dim), time_index=t)
         predicted.append(belief)
-        lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
+        lags = np.stack([panel[t - l] for l in range(1, p + 1)])
         step_ll = None
         for _ in range(n_sweeps):
             for mode in sweep_schedule:

@@ -1,28 +1,35 @@
-"""Node-permutation equivariance of the fits and the forecaster.
+"""Checks of the fast paths that need no second implementation.
 
-Relabelling the nodes (the panel's columns, W's rows and columns, and a
-diagonal R by the same permutation) is the same model. So the
-log-likelihoods and the filtered coefficient moments must not change,
-and every node-indexed output must permute with the nodes. None of these
-checks needs a second implementation: a kernel that mixes up node
-indices (a misplaced neighbour sum, a row of the design in the wrong
-place) fails them. The fits sum over the nodes in another order after a
-relabelling, so they agree to rounding only; every check allows 1e-10
-relative to the size of what it compares.
+Node-permutation equivariance: relabelling the nodes (the panel's
+columns, W's rows and columns, and a diagonal R by the same permutation)
+is the same model. So the log-likelihoods and the filtered coefficient
+moments must not change, and every node-indexed output must permute with
+the nodes. A kernel that mixes up node indices (a misplaced neighbour
+sum, a row of the design in the wrong place) fails them. The fits sum
+over the nodes in another order after a relabelling, so they agree to
+rounding only; every check allows 1e-10 relative to the size of what it
+compares.
+
+Poisson moments at h = 1 in closed form: the Monte-Carlo forecaster's
+first-horizon intensities and counts must have the means and variances
+that its Gaussian log-intensity implies.
 """
 
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nssm.design import DesignRecipe
+from nssm.design import DesignRecipe, build_design
 from nssm.gaussmodel import (GaussianSpec, ObsNoise, fit_gaussian,
                              forecast_gaussian)
 from nssm.graph import WeightMatrix
 from nssm.lgss import StateNoiseSpec
-from nssm.poissonmodel import PoissonSpec, fit_poisson
+from nssm.poissonmodel import (PoissonSpec, StabilizerConfig, fit_poisson,
+                               mc_forecast)
 
 T = 60
 RTOL = 1e-10
@@ -123,3 +130,44 @@ def test_poisson_fit_invariant(seed, graph, n, recipe):
     perm = rng.permutation(n)
     assert_same_moments(fit_poisson(counts, w, spec),
                         fit_poisson(counts[:, perm], relabel(w, perm), spec))
+
+
+MOMENT_N, MOMENT_DRAWS, PHIS = 12, 200_000, (1.0, 0.9)
+# Two-sided, Bonferroni over every node, the three quantities and both
+# phi values, so that the family fails falsely with probability <= 1e-3.
+MOMENT_Z = NormalDist().inv_cdf(1 - 1e-3 / (2 * MOMENT_N * 3 * len(PHIS)))
+
+
+@pytest.mark.parametrize("phi", PHIS)
+def test_poisson_h1_moments_closed_form(phi):
+    # At h = 1 the log-intensity X theta_1 is N(mu, s) with mu = X m and
+    # s the diagonal of X (phi^2 P + Q) X'. While the caps do not bind,
+    # E[lambda] = exp(mu + s/2), Var[lambda] = (e^s - 1) e^(2 mu + s) and
+    # Var[Y] = E[lambda] + Var[lambda].
+    rng = np.random.default_rng(10)
+    w = WeightMatrix(random_w(rng, "directed_sparse", MOMENT_N))
+    counts = rng.poisson(3.0, (30, MOMENT_N))
+    spec = PoissonSpec(recipe=DesignRecipe(),
+                       state_noise=StateNoiseSpec.constant(1e-3 * np.eye(3)))
+    run = fit_poisson(counts, w, spec)
+    x = build_design(w, [counts[-1]], None, spec.recipe)
+    mu = x @ run.means[-1]
+    s = np.einsum("ik,kl,il->i", x,
+                  phi ** 2 * run.covs[-1] + spec.state_noise.q, x)
+    stab = StabilizerConfig(phi=phi)
+    ens = mc_forecast(run, spec, 1, MOMENT_DRAWS, stab, 3)[0]
+    lam, y = ens.intensities, ens.counts.astype(float)
+    assert lam.max() < min(np.exp(stab.eta_max), stab.lambda_max)
+
+    e_lam = np.exp(mu + s / 2)
+    var_lam = np.expm1(s) * np.exp(2 * mu + s)
+    var_y = e_lam + var_lam
+    dev = y - y.mean(axis=0)
+    v = dev.var(axis=0, ddof=1)
+    # The sample variance's standard error from the sample's fourth
+    # central moment.
+    se_v = np.sqrt((np.mean(dev ** 4, axis=0) - v ** 2) / MOMENT_DRAWS)
+    for z in ((lam.mean(axis=0) - e_lam) / np.sqrt(var_lam / MOMENT_DRAWS),
+              (y.mean(axis=0) - e_lam) / np.sqrt(var_y / MOMENT_DRAWS),
+              (v - var_y) / se_v):
+        assert np.max(np.abs(z)) < MOMENT_Z

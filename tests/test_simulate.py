@@ -407,3 +407,41 @@ class TestGenDynamicEdges:
         _, eta_path = gen_dynamic_edges(spec, 50, 5, seed=3)
         assert eta_path.shape == (50, 2)
         assert np.std(eta_path[:, 0]) > 0
+
+    def test_feature_fn_called_once_per_pair_at_t0(self):
+        calls = []
+
+        def feature_fn(i, j, t, rng):
+            calls.append((i, j, t))
+            return np.array([1.0, rng.standard_normal()])
+
+        spec = EdgePathSpec(eta0=np.zeros(2), s_cov=0.1 * np.eye(2),
+                            feature_fn=feature_fn)
+        gen_dynamic_edges(spec, 6, 5, seed=4)
+        # Every ordered pair, the diagonal too, once: the features are
+        # fixed over time.
+        assert sorted(calls) == [(i, j, 0) for i in range(5)
+                                 for j in range(5)]
+
+    def test_two_feature_edge_frequencies_follow_sigmoid(self):
+        # x_ij = (1, c_ij) with c_ij in {-1, 0, 1, 2}; with S = 0 each
+        # off-diagonal edge of class c is Bernoulli(sigmoid(eta0' x)) at
+        # every step, independently.
+        eta0 = np.array([-0.5, 1.2])
+
+        def cls(i, j):
+            return (i + 2 * j) % 4 - 1.0
+
+        spec = EdgePathSpec(eta0=eta0, s_cov=np.zeros((2, 2)),
+                            feature_fn=lambda i, j, t, rng:
+                            np.array([1.0, cls(i, j)]))
+        n, t_len = 30, 100
+        adjs, _ = gen_dynamic_edges(spec, t_len, n, seed=5)
+        freq = np.mean([a.entries for a in adjs], axis=0)
+        c = np.array([[cls(i, j) for j in range(n)] for i in range(n)])
+        off = ~np.eye(n, dtype=bool)
+        for value in (-1.0, 0.0, 1.0, 2.0):
+            at = off & (c == value)
+            prob = 1.0 / (1.0 + np.exp(-(eta0[0] + eta0[1] * value)))
+            se = np.sqrt(prob * (1.0 - prob) / (at.sum() * t_len))
+            assert abs(freq[at].mean() - prob) < 4.5 * se

@@ -6,7 +6,6 @@ import pytest
 from nssm.lgss import Belief, ObsBlock, predict, update
 from nssm.tensorcp import (
     CPFactors,
-    LagWindow,
     cp_filter_alternating,
     cp_mean,
     cp_one_step_mean,
@@ -26,7 +25,7 @@ def random_factors(rank=3, n=5, p=2, seed=0):
 
 def random_lags(n=5, p=2, seed=1):
     rng = np.random.default_rng(seed)
-    return LagWindow(tuple(rng.standard_normal(n) for _ in range(p)))
+    return np.stack([rng.standard_normal(n) for _ in range(p)])
 
 
 class TestCPFactors:
@@ -71,14 +70,14 @@ class TestReconstruct:
 class TestCPMean:
     def test_zero_lags(self):
         f = random_factors()
-        lags = LagWindow((np.zeros(5), np.zeros(5)))
+        lags = np.zeros((2, 5))
         assert np.allclose(cp_mean(f, lags), 0.0)
 
     def test_matches_reconstruction(self):
         f = random_factors(seed=3)
         lags = random_lags(seed=4)
         slices = cp_reconstruct(f)
-        direct = sum(slices[l] @ lags.lags[l] for l in range(2))
+        direct = sum(slices[l] @ lags[l] for l in range(2))
         assert np.max(np.abs(cp_mean(f, lags) - direct)) < 1e-12
 
     def test_scaling_invariance(self):
@@ -90,7 +89,7 @@ class TestCPMean:
     def test_lag_mismatch(self):
         f = random_factors(p=2)
         with pytest.raises(ValueError, match="lag"):
-            cp_mean(f, LagWindow((np.zeros(5),)))
+            cp_mean(f, np.zeros((1, 5)))
 
 
 class TestConditionalDesign:
@@ -118,7 +117,7 @@ class TestConditionalDesign:
                 a[rng.random(a.shape) < 0.2] = 0.0
                 a[rng.random(a.shape) < 0.1] = -0.0
             f = CPFactors(*arrays[:3])
-            lags = LagWindow(tuple(arrays[3]))
+            lags = arrays[3]
             got = conditional_design(f, mode, lags)
             want = conditional_design_hstack(f, mode, lags)
             assert got.shape == want.shape == (n, rank * (n, n, p)[mode - 1])
@@ -128,13 +127,13 @@ class TestConditionalDesign:
     def test_mode1_zero_alpha(self):
         f = CPFactors(mode1=np.ones((1, 3)), mode2=np.ones((1, 3)),
                       mode3=np.array([[1.0]]))
-        lags = LagWindow((np.zeros(3),))
+        lags = np.zeros((1, 3))
         assert np.all(conditional_design(f, 1, lags) == 0)
 
     def test_mode3_p1_collapse(self):
         f = random_factors(rank=2, n=4, p=1, seed=9)
         y = np.arange(4.0)
-        lags = LagWindow((y,))
+        lags = y[None]
         h = conditional_design(f, 3, lags)
         for r in range(2):
             m_r = float(f.mode2[r] @ y)
@@ -197,7 +196,7 @@ def simulate_cp_panel(rank=2, n=10, p=2, t_len=80, seed=0, rw_sd=0.01,
         m2 = m2 + rw_sd * rng.standard_normal((rank, n))
         m3 = m3 + rw_sd * 0.1 * rng.standard_normal((rank, p))
         f = CPFactors(mode1=m1, mode2=m2, mode3=m3)
-        lags = LagWindow(tuple(panel[t - l] for l in range(1, p + 1)))
+        lags = np.stack([panel[t - l] for l in range(1, p + 1)])
         panel[t] = cp_mean(f, lags) + noise_sd * rng.standard_normal(n)
     return panel
 
@@ -303,7 +302,7 @@ class TestAlternatingFilter:
                 # (t-1) - p in the run.
                 f = CPFactors.unstack(run.beliefs_filtered[t - 3].mean,
                                       2, n, 2)
-                lags = LagWindow((panel[t - 1], panel[t - 2]))
+                lags = np.stack([panel[t - 1], panel[t - 2]])
                 se_cp.append(np.mean((cp_mean(f, lags) - panel[t]) ** 2))
                 se_diag.append(np.mean((phi * panel[t - 1] - panel[t]) ** 2))
             if np.mean(se_cp) < np.mean(se_diag):
